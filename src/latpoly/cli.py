@@ -2,7 +2,7 @@
 
 Exit codes: 0 all requested properties hold (or terms are equivalent);
 1 a property fails or terms differ (witnesses printed); 2 usage or format
-error; 3 evaluation budget exceeded.
+error, or any other error of this package; 3 evaluation budget exceeded.
 """
 
 from __future__ import annotations
@@ -21,22 +21,12 @@ from .conditions import (
 from .dnf import dnf_to_lines, dnf_to_term, enumerate_dnf, equivalent, extract_alpha
 from .errors import (
     ArityMismatchError,
-    BadIndexError,
     BudgetExceededError,
-    CycleError,
-    EmptyIntervalError,
-    FormatError,
-    HypothesisViolatedError,
     InvalidParamsError,
+    LatPolyError,
     LimitExceededError,
-    NoBoundsError,
-    NotALatticeError,
     NotDistributiveError,
-    NotNonDistributiveError,
     NotPolynomialError,
-    TermSyntaxError,
-    UnknownElementError,
-    VarOutOfRangeError,
 )
 from .lattice import load_lattice
 from .oracle import find_nondistributive_witness, verify_equivalence
@@ -47,24 +37,6 @@ from .terms import (
     materialize,
     parse_term,
     table_to_text,
-)
-
-_USAGE_ERRORS = (
-    FormatError,
-    TermSyntaxError,
-    UnknownElementError,
-    VarOutOfRangeError,
-    ArityMismatchError,
-    BadIndexError,
-    InvalidParamsError,
-    CycleError,
-    NotALatticeError,
-    NoBoundsError,
-    EmptyIntervalError,
-    NotDistributiveError,
-    NotNonDistributiveError,
-    HypothesisViolatedError,
-    OSError,
 )
 
 
@@ -291,7 +263,7 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _USAGE_ERRORS as exc:
+    except (LatPolyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,9 @@ plus "delta-meet"/"delta-join" and "range-convex"/"section-convex".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import product
+from operator import itemgetter, mul
 
 from .budget import ensure_budget
 from .errors import HypothesisViolatedError, InvalidParamsError
@@ -70,6 +72,100 @@ class Classification:
     sugeno: bool
 
 
+# -- grid index maps ----------------------------------------------------------
+#
+# Each identity compares f at a transformed point with a transform of f(x).
+# The transformed points depend only on (lattice, arity), so their grid
+# indices are built once and cached on the lattice, after the budget check.
+
+
+def grid_map(lat, n, kind):
+    """The index structure `kind` of _GRID_KINDS for arity n, built on
+    first use and kept in the lattice's cache."""
+    key = ("grid", kind, n)
+    got = lat._cache.get(key)
+    if got is None:
+        got = lat._cache[key] = _GRID_KINDS[kind](lat, n)
+    return got
+
+
+def _unary_maps(lat, n, digit_maps):
+    """maps[c][i]: grid index of (u(x_1), ..., u(x_n)) for the point x at
+    index i, where u(d) = digit_maps[c][d]."""
+    m = lat.m
+    maps = []
+    for g in digit_maps:
+        idx = [0]
+        for _ in range(n):
+            idx = [a * m + gd for a in idx for gd in g]
+        maps.append(idx)
+    return maps
+
+
+def _cover_pairs(lat, n):
+    """Triples (i, k, j): the point at index j covers the one at index i
+    along coordinate k, in grid order."""
+    sp = lat.point_space(n)
+    return tuple(
+        (i, k, i + (c - x[k]) * sk)
+        for i, x in enumerate(sp.iter_points())
+        for k, sk in enumerate(sp.strides)
+        for c in lat.covers_up[x[k]]
+    )
+
+
+def _median_rows(lat, n):
+    """Rows (i, k, x_k, i0, i1): i0 and i1 index the point x at index i
+    with x_k set to bottom and to top, in grid order."""
+    sp = lat.point_space(n)
+    return tuple(
+        (i, k, x[k], i - x[k] * sk, i + (lat.top_id - x[k]) * sk)
+        for i, x in enumerate(sp.iter_points())
+        for k, sk in enumerate(sp.strides)
+    )
+
+
+def _diagonal_rows(lat, n):
+    """Getters for the diagonals of f and of its constant substitutions
+    (substituted coordinates in subset_masks order, never all n of them;
+    values in lexicographic order), and the triples (u, v, u ^ v) and
+    (u, v, u v v) to check on them, u-major with u < v: u = v holds by
+    idempotency, and (v, u) fails exactly when (u, v) does, later.
+    For m = 1 a getter returns a bare value and there are no triples."""
+    m, strides = lat.m, lat.point_space(n).strides
+    rows = []
+    for kmask in subset_masks(n):
+        if kmask == (1 << n) - 1 and n > 0:
+            continue  # keep at least one free coordinate
+        kstrides = [s for k, s in enumerate(strides) if kmask >> k & 1]
+        step = sum(strides) - sum(kstrides)
+        for key in product(range(m), repeat=len(kstrides)):
+            base = sum(map(mul, key, kstrides))
+            rows.append(itemgetter(*(base + v * step for v in range(m))))
+    meets, joins = (
+        [(u, v, w) for u, row in enumerate(t) for v, w in enumerate(row) if u < v]
+        for t in (lat._meet_t, lat._join_t)
+    )
+    return rows, meets, joins
+
+
+_GRID_KINDS = {
+    # meet and join are commutative, so row c of their tables is d -> d op c
+    "meet": lambda lat, n: _unary_maps(lat, n, lat._meet_t),
+    "join": lambda lat, n: _unary_maps(lat, n, lat._join_t),
+    # [x]_c: coordinates below c drop to bottom; [x]^c: above c rise to top
+    "below": lambda lat, n: _unary_maps(
+        lat, n, [[0 if le else d for d, le in enumerate(col)] for col in zip(*lat._leq)]
+    ),
+    "above": lambda lat, n: _unary_maps(
+        lat, n, [[lat.top_id if ge else d for d, ge in enumerate(row)] for row in lat._leq]
+    ),
+    "covers": _cover_pairs,
+    "median": _median_rows,
+    "diagonals": _diagonal_rows,
+}
+
+
 # -- individual checkers ----------------------------------------------------
 
 
@@ -78,21 +174,12 @@ def is_order_preserving(f, budget=None):
     (sufficient by transitivity)."""
     lat = f.lattice
     n = f.arity
-    sp = lat.point_space(n)
-    ensure_budget(sp.size * max(n, 1), budget, "monotonicity scan")
-    leq = lat._leq
     vals = f.values
-    strides = sp.strides
-    covers_up = lat.covers_up
-    for i, x in enumerate(sp.points):
-        fi = vals[i]
-        row = leq[fi]
-        for k in range(n):
-            sk = strides[k]
-            xk = x[k]
-            for c in covers_up[xk]:
-                if not row[vals[i + (c - xk) * sk]]:
-                    return False, Witness(x=x, k=k + 1)
+    ensure_budget(len(vals) * max(n, 1), budget, "monotonicity scan")
+    leq = lat._leq
+    for i, k, j in grid_map(lat, n, "covers"):
+        if not leq[vals[i]][vals[j]]:
+            return False, Witness(x=lat.point_space(n).decode(i), k=k + 1)
     return True, None
 
 
@@ -101,22 +188,14 @@ def check_median_decomposition(f, budget=None):
     for every point x and coordinate k."""
     lat = f.lattice
     n = f.arity
-    sp = lat.point_space(n)
-    ensure_budget(sp.size * max(n, 1), budget, "median decomposition scan")
     vals = f.values
+    ensure_budget(len(vals) * max(n, 1), budget, "median decomposition scan")
     meet_t, join_t = lat._meet_t, lat._join_t
-    top = lat.top_id
-    strides = sp.strides
-    for i, x in enumerate(sp.points):
-        fx = vals[i]
-        for k in range(n):
-            sk = strides[k]
-            xk = x[k]
-            f0 = vals[i - xk * sk]
-            f1 = vals[i + (top - xk) * sk]
-            med = meet_t[meet_t[join_t[f0][xk]][join_t[f0][f1]]][join_t[xk][f1]]
-            if med != fx:
-                return False, Witness(x=x, k=k + 1)
+    for i, k, xk, i0, i1 in grid_map(lat, n, "median"):
+        f0 = vals[i0]
+        f1 = vals[i1]
+        if meet_t[meet_t[join_t[f0][xk]][join_t[f0][f1]]][join_t[xk][f1]] != vals[i]:
+            return False, Witness(x=lat.point_space(n).decode(i), k=k + 1)
     return True, None
 
 
@@ -129,7 +208,7 @@ def check_self_composition(f, budget=None):
     ensure_budget(sp.size * max(n, 1), budget, "composition absorption scan")
     vals = f.values
     strides = sp.strides
-    for i, x in enumerate(sp.points):
+    for i, x in enumerate(sp.iter_points()):
         fx = vals[i]
         for k in range(n):
             if vals[i + (fx - x[k]) * strides[k]] != fx:
@@ -161,21 +240,16 @@ def check_homogeneity(f, direction="meet", scope="interval", budget=None):
     if scope not in ("interval", "all"):
         raise InvalidParamsError(f"scope must be 'interval' or 'all', got {scope!r}")
     lat = f.lattice
-    n = f.arity
-    m = lat.m
-    sp = lat.point_space(n)
-    ensure_budget(sp.size * m, budget, "homogeneity scan")
-    cs = _bound_interval(f, "homogeneity") if scope == "interval" else range(m)
-    op = lat._meet_t if direction == "meet" else lat._join_t
     vals = f.values
-    for i, x in enumerate(sp.points):
-        fi = vals[i]
+    ensure_budget(len(vals) * lat.m, budget, "homogeneity scan")
+    cs = _bound_interval(f, "homogeneity") if scope == "interval" else range(lat.m)
+    op = lat._meet_t if direction == "meet" else lat._join_t
+    maps = grid_map(lat, f.arity, direction)
+    for i, fi in enumerate(vals):
+        row = op[fi]
         for c in cs:
-            idx = 0
-            for d in x:
-                idx = idx * m + op[d][c]
-            if vals[idx] != op[fi][c]:
-                return False, Witness(x=x, c=c)
+            if vals[maps[c][i]] != row[c]:
+                return False, Witness(x=lat.point_space(f.arity).decode(i), c=c)
     return True, None
 
 
@@ -186,31 +260,17 @@ def check_horizontal(f, direction="meet", budget=None):
         raise InvalidParamsError(f"direction must be 'meet' or 'join', got {direction!r}")
     lat = f.lattice
     n = f.arity
-    m = lat.m
-    sp = lat.point_space(n)
-    ensure_budget(sp.size * m, budget, "horizontal split scan")
-    cs = _bound_interval(f, "horizontal split")
-    leq = lat._leq
-    meet_t, join_t = lat._meet_t, lat._join_t
-    top = lat.top_id
     vals = f.values
-    for i, x in enumerate(sp.points):
-        fi = vals[i]
+    ensure_budget(len(vals) * lat.m, budget, "horizontal split scan")
+    cs = _bound_interval(f, "horizontal split")
+    if direction == "meet":
+        outer, inner, combine = grid_map(lat, n, "meet"), grid_map(lat, n, "below"), lat._join_t
+    else:
+        outer, inner, combine = grid_map(lat, n, "join"), grid_map(lat, n, "above"), lat._meet_t
+    for i, fi in enumerate(vals):
         for c in cs:
-            a = 0
-            b = 0
-            if direction == "meet":
-                for d in x:
-                    a = a * m + meet_t[d][c]
-                    b = b * m + (0 if leq[d][c] else d)
-                if join_t[vals[a]][vals[b]] != fi:
-                    return False, Witness(x=x, c=c)
-            else:
-                for d in x:
-                    a = a * m + join_t[d][c]
-                    b = b * m + (top if leq[c][d] else d)
-                if meet_t[vals[a]][vals[b]] != fi:
-                    return False, Witness(x=x, c=c)
+            if combine[vals[outer[c][i]]][vals[inner[c][i]]] != fi:
+                return False, Witness(x=lat.point_space(n).decode(i), c=c)
     return True, None
 
 
@@ -249,7 +309,7 @@ def check_range_convexity(f, budget=None):
     if gap is not None:
         return False, Witness(c=gap, eq="range-convex")
     strides = sp.strides
-    for i, a in enumerate(sp.points):
+    for i, a in enumerate(sp.iter_points()):
         for k in range(n):
             if a[k] != 0:
                 continue  # same section as the representative with a_k = bottom
@@ -265,71 +325,37 @@ def check_range_convexity(f, budget=None):
 
 def _delta_failures(f, budget=None):
     """First meet- and join-preservation failures over the diagonals of f
-    and of every constant-substitution of f (deduplicated by table).
+    and of every constant-substitution of f (repeated diagonals skipped).
 
     Returns a pair (meet_failure, join_failure); each is None or
-    (scan_index, Witness).
+    (diagonal_position, Witness).
     """
     lat = f.lattice
     n = f.arity
-    m = lat.m
-    sp = lat.point_space(n)
-    ensure_budget(sp.size * (1 << n), budget, "diagonal preservation scan")
-    meet_t, join_t = lat._meet_t, lat._join_t
     vals = f.values
-    points = sp.points
-    seen = set()
+    ensure_budget(len(vals) * (1 << n), budget, "diagonal preservation scan")
+    meet_t, join_t = lat._meet_t, lat._join_t
+    rows, meet_triples, join_triples = grid_map(lat, n, "diagonals")
     meet_fail = None
     join_fail = None
-    g_index = 0
-    full = (1 << n) - 1
-    for kmask in subset_masks(n):
-        if kmask == full and n > 0:
-            continue  # keep at least one free coordinate
+    seen = set()
+    for pos, row in enumerate(rows):
+        d = row(vals)
+        if d in seen:
+            continue
+        seen.add(d)
+        if meet_fail is None:
+            for u, v, w in meet_triples:
+                if d[w] != meet_t[d[u]][d[v]]:
+                    meet_fail = (pos, Witness(x=(u, v), eq="delta-meet"))
+                    break
+        if join_fail is None:
+            for u, v, w in join_triples:
+                if d[w] != join_t[d[u]][d[v]]:
+                    join_fail = (pos, Witness(x=(u, v), eq="delta-join"))
+                    break
         if meet_fail is not None and join_fail is not None:
             break
-        kcoords = [k for k in range(n) if kmask >> k & 1]
-        free = [k for k in range(n) if not kmask >> k & 1]
-        g_arity = len(free)
-        g_size = m ** g_arity
-        groups = {}
-        for i, x in enumerate(points):
-            key = tuple(x[k] for k in kcoords)
-            ridx = 0
-            for k in free:
-                ridx = ridx * m + x[k]
-            g = groups.get(key)
-            if g is None:
-                g = groups[key] = [0] * g_size
-            g[ridx] = vals[i]
-        diag = (g_size - 1) // (m - 1) if m > 1 else 0
-        for key in sorted(groups):
-            gv = tuple(groups[key])
-            if (g_arity, gv) in seen:
-                continue
-            seen.add((g_arity, gv))
-            d = [gv[v * diag] for v in range(m)]
-            if meet_fail is None:
-                for u in range(m):
-                    du = d[u]
-                    for v in range(m):
-                        if d[meet_t[u][v]] != meet_t[du][d[v]]:
-                            meet_fail = (g_index, Witness(x=(u, v), eq="delta-meet"))
-                            break
-                    if meet_fail is not None:
-                        break
-            if join_fail is None:
-                for u in range(m):
-                    du = d[u]
-                    for v in range(m):
-                        if d[join_t[u][v]] != join_t[du][d[v]]:
-                            join_fail = (g_index, Witness(x=(u, v), eq="delta-join"))
-                            break
-                    if join_fail is not None:
-                        break
-            g_index += 1
-            if meet_fail is not None and join_fail is not None:
-                break
     return meet_fail, join_fail
 
 
@@ -437,7 +463,7 @@ def _condition_verdict(pieces, cond):
         ok, w = getattr(pieces, piece)()
         if not ok:
             if w is not None and w.eq is None and tag is not None:
-                w = replace(w, eq=tag)
+                w = Witness(w.x, w.k, w.c, tag)
             return False, w
     return True, None
 

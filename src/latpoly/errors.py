@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class LatPolyError(Exception):
     """Base class for every error raised by this package."""
@@ -76,11 +78,17 @@ class BudgetExceededError(LatPolyError):
 
     def __init__(self, required, allowed, what="operation"):
         super().__init__(
-            f"{what} needs {required} point evaluations "
-            f"but the budget allows {allowed}"
+            f"{what} needs {_count_text(required)} point evaluations "
+            f"but the budget allows {_count_text(allowed)}"
         )
         self.required = required
         self.allowed = allowed
+
+
+def _count_text(count):
+    """Exact digits below 10^18, else "about 10^k"; a count such as |L|^n
+    can have more digits than int-to-str conversion allows."""
+    return str(count) if count < 10**18 else f"about 10^{int(math.log10(count))}"
 
 
 class NotPolynomialError(LatPolyError):

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .budget import ensure_budget, resolve_budget
-from .conditions import check_condition, evaluate_all_conditions
+from .conditions import check_condition, evaluate_all_conditions, grid_map
 from .dnf import DNFMap, dnf_evaluate, subset_masks
 from .errors import (
     BudgetExceededError,
@@ -80,18 +80,9 @@ class FunctionSet:
 
 def _point_lower_covers(lattice, n):
     """For each grid index, the indices covered by it in the product order."""
-    sp = lattice.point_space(n)
-    strides = sp.strides
-    covers_down = lattice.covers_down
-    out = []
-    for i, x in enumerate(sp.points):
-        row = []
-        for k in range(n):
-            sk = strides[k]
-            xk = x[k]
-            for c in covers_down[xk]:
-                row.append(i + (c - xk) * sk)
-        out.append(row)
+    out = [[] for _ in range(lattice.m ** n)]
+    for i, _, j in grid_map(lattice, n, "covers"):
+        out[j].append(i)
     return out
 
 
@@ -174,7 +165,7 @@ def closure_polynomials(lattice, n, budget=None):
 
     tables = set()
     for k in range(n):
-        tables.add(tuple(x[k] for x in sp.points))
+        tables.add(tuple(x[k] for x in sp.iter_points()))
     for c in range(m):
         tables.add((c,) * size)
 

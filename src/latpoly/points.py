@@ -10,7 +10,6 @@ the package are "first in this order".
 
 import itertools
 import operator
-from functools import cached_property
 
 
 class PointSpace:
@@ -36,11 +35,6 @@ class PointSpace:
     def iter_points(self):
         return itertools.product(range(self.m), repeat=self.n)
 
-    @cached_property
-    def points(self):
-        """All points as tuples, in enumeration order. Built on first use."""
-        return list(self.iter_points())
-
     def encode(self, point):
         idx = 0
         for d in point:
@@ -57,7 +51,3 @@ class PointSpace:
     def diag_index(self, v):
         """Index of the constant point (v, ..., v)."""
         return v * self.diag_stride
-
-    def replace(self, index, k, old_digit, new_digit):
-        """Index of the point with coordinate k (0-based) changed."""
-        return index + (new_digit - old_digit) * self.strides[k]

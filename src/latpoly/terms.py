@@ -256,9 +256,21 @@ class _Parser:
         )
 
 
+# parentheses a term may nest; parsing and evaluation recurse once per level
+MAX_TERM_DEPTH = 100
+
+
 def parse_term(text, lattice, arity):
     """Parse a term over `lattice` with variables x1..x<arity>."""
-    return _Parser(_tokenize(text), lattice, arity).parse()
+    tokens = _tokenize(text)
+    depth = 0
+    for kind, _, pos in tokens:
+        depth += (kind == "(") - (kind == ")")
+        if depth > MAX_TERM_DEPTH:
+            raise TermSyntaxError(
+                f"term nests deeper than {MAX_TERM_DEPTH} parentheses", position=pos
+            )
+    return _Parser(tokens, lattice, arity).parse()
 
 
 def format_term(t):
@@ -365,12 +377,10 @@ class FunctionTable:
 
 def materialize(lattice, term, arity, budget=None):
     """Evaluate a term at every point of L^n, in canonical point order."""
-    sp = lattice.point_space(arity)
-    ensure_budget(sp.size, budget, "term tabulation")
+    ensure_budget(lattice.m ** arity, budget, "term tabulation")
     meet_t, join_t = lattice._meet_t, lattice._join_t
-    return FunctionTable(
-        lattice, arity, (_eval(term, meet_t, join_t, p) for p in sp.iter_points())
-    )
+    points = lattice.point_space(arity).iter_points()
+    return FunctionTable(lattice, arity, (_eval(term, meet_t, join_t, p) for p in points))
 
 
 def substitute(f, k_indices, point):

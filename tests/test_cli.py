@@ -1,6 +1,7 @@
 import pytest
 
 from latpoly.cli import main
+from latpoly.terms import MAX_TERM_DEPTH
 
 STEP_TBL = """\
 table 1
@@ -115,6 +116,30 @@ def test_check_budget_exceeded(capsys, chain3_file):
         "--budget", "10",
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("arity, digits", [("2000", 954), ("20000", 9542)])
+def test_check_huge_arity_is_a_one_line_budget_error(capsys, chain3_file, arity, digits):
+    # 3^arity has more digits than int-to-str conversion allows
+    code = main(["check", "--lattice", str(chain3_file), "--arity", arity, "--term", "x1"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error: term tabulation needs about 10^{digits} point evaluations "
+        f"but the budget allows 10000000\n"
+    )
+
+
+@pytest.mark.parametrize("depth, expected", [(MAX_TERM_DEPTH, 0), (5000, 2)])
+def test_check_deeply_nested_term(capsys, chain3_file, depth, expected):
+    term = "(" * depth + "x1" + ")" * depth
+    code = main(["check", "--lattice", str(chain3_file), "--arity", "1", "--term", term])
+    assert code == expected
+    err = capsys.readouterr().err
+    if expected == 2:
+        assert err == (
+            f"error: term nests deeper than {MAX_TERM_DEPTH} parentheses "
+            f"at position {MAX_TERM_DEPTH}\n"
+        )
 
 
 # -- normalize -----------------------------------------------------------------

@@ -2,9 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latpoly import (
     FunctionTable,
+    boolean,
+    chain,
     Witness,
     check_condition,
     check_delta_preservation,
@@ -19,12 +23,13 @@ from latpoly import (
     evaluate_all_conditions,
     is_order_preserving,
     materialize,
+    n5,
     parse_term,
     random_term,
     report_lines,
     substitute,
 )
-from latpoly.errors import HypothesisViolatedError
+from latpoly.errors import BudgetExceededError, HypothesisViolatedError
 from latpoly.oracle import closure_polynomials, iter_monotone_tables
 
 
@@ -405,3 +410,179 @@ def test_classify_on_non_distributive_uses_closure(pentagon):
     g = FunctionTable(pentagon, 1, (0, 0, 0, 0, 4))
     # med(0, x, 1) = x differs from g, and g is not in the pentagon's closure
     assert not classify(g).polynomial
+
+
+# -- differential check against the equations ----------------------------------
+#
+# An independent reference for the checkers: each identity written out on
+# point tuples with lattice.meet/join/leq, scanned in the documented
+# witness order (points in grid order, then coordinates or thresholds).
+# It shares no index map with the checkers, so a faster checker is always
+# compared with this plain reading of the equations.
+
+
+def ref_points(lat, n):
+    return list(itertools.product(range(lat.m), repeat=n))
+
+
+def ref_set(x, k, value):
+    return x[:k] + (value,) + x[k + 1 :]
+
+
+def ref_order(f):
+    lat = f.lattice
+    for x in ref_points(lat, f.arity):
+        for k in range(f.arity):
+            above = [c for c in range(lat.m) if c != x[k] and lat.leq(x[k], c)]
+            covers = [c for c in above if not any(z != c and lat.leq(z, c) for z in above)]
+            if any(not lat.leq(f(x), f(ref_set(x, k, c))) for c in covers):
+                return False, Witness(x=x, k=k + 1)
+    return True, None
+
+
+def ref_median(f):
+    lat = f.lattice
+    for x in ref_points(lat, f.arity):
+        for k in range(f.arity):
+            f0 = f(ref_set(x, k, lat.bottom_id))
+            f1 = f(ref_set(x, k, lat.top_id))
+            med = lat.meet(lat.meet(lat.join(f0, x[k]), lat.join(f0, f1)), lat.join(x[k], f1))
+            if med != f(x):
+                return False, Witness(x=x, k=k + 1)
+    return True, None
+
+
+def ref_selfcomp(f):
+    for x in ref_points(f.lattice, f.arity):
+        for k in range(f.arity):
+            if f(ref_set(x, k, f(x))) != f(x):
+                return False, Witness(x=x, k=k + 1)
+    return True, None
+
+
+def ref_interval(f):
+    lat = f.lattice
+    lo = f((lat.bottom_id,) * f.arity)
+    hi = f((lat.top_id,) * f.arity)
+    if not lat.leq(lo, hi):
+        raise HypothesisViolatedError("f(bottom) is not below f(top)")
+    return [c for c in range(lat.m) if lat.leq(lo, c) and lat.leq(c, hi)]
+
+
+def ref_homogeneity(f, direction, scope):
+    lat = f.lattice
+    op = lat.meet if direction == "meet" else lat.join
+    cs = ref_interval(f) if scope == "interval" else range(lat.m)
+    for x in ref_points(lat, f.arity):
+        for c in cs:
+            if f(tuple(op(d, c) for d in x)) != op(f(x), c):
+                return False, Witness(x=x, c=c)
+    return True, None
+
+
+def ref_horizontal(f, direction):
+    lat = f.lattice
+    cs = ref_interval(f)
+    for x in ref_points(lat, f.arity):
+        for c in cs:
+            if direction == "meet":
+                cut = tuple(lat.bottom_id if lat.leq(d, c) else d for d in x)
+                split = lat.join(f(tuple(lat.meet(d, c) for d in x)), f(cut))
+            else:
+                cut = tuple(lat.top_id if lat.leq(c, d) else d for d in x)
+                split = lat.meet(f(tuple(lat.join(d, c) for d in x)), f(cut))
+            if split != f(x):
+                return False, Witness(x=x, c=c)
+    return True, None
+
+
+def ref_delta(f, which):
+    """Diagonals of f and of its constant substitutions: substituted
+    coordinate sets by size then bitmask (never all of them), substituted
+    values in lexicographic order; the earlier failure wins, meet on ties."""
+    lat, n, m = f.lattice, f.arity, f.lattice.m
+    masks = sorted(range(1 << n), key=lambda s: (bin(s).count("1"), s))
+    first = {"meet": None, "join": None}
+    pos = 0
+    for mask in masks:
+        if n > 0 and mask == (1 << n) - 1:
+            continue
+        frozen = [k for k in range(n) if mask >> k & 1]
+        for key in itertools.product(range(m), repeat=len(frozen)):
+            fixed = dict(zip(frozen, key))
+            d = [f(tuple(fixed.get(k, v) for k in range(n))) for v in range(m)]
+            for name, op in (("meet", lat.meet), ("join", lat.join)):
+                bad = [(u, v) for u in range(m) for v in range(m) if d[op(u, v)] != op(d[u], d[v])]
+                if first[name] is None and bad:
+                    first[name] = (pos, Witness(x=bad[0], eq="delta-" + name))
+            pos += 1
+    fails = [first[name] for name in ("meet", "join") if which in (name, "both") and first[name]]
+    if not fails:
+        return True, None
+    return False, min(fails, key=lambda fail: fail[0])[1]
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except HypothesisViolatedError:
+        return HypothesisViolatedError
+
+
+CHECKER_PAIRS = [
+    (is_order_preserving, ref_order, ()),
+    (check_median_decomposition, ref_median, ()),
+    (check_self_composition, ref_selfcomp, ()),
+    *[
+        (check_homogeneity, ref_homogeneity, (direction, scope))
+        for direction in ("meet", "join")
+        for scope in ("interval", "all")
+    ],
+    (check_horizontal, ref_horizontal, ("meet",)),
+    (check_horizontal, ref_horizontal, ("join",)),
+    *[(check_delta_preservation, ref_delta, (which,)) for which in ("meet", "join", "both")],
+]
+
+
+def assert_matches_reference(f):
+    for check, reference, args in CHECKER_PAIRS:
+        got = outcome(check, f, *args)
+        assert got == outcome(reference, f, *args), (check.__name__, args, f.values)
+
+
+@pytest.mark.parametrize("lat, n", [(chain(3), 2), (boolean(2), 1), (n5(), 1)])
+def test_checkers_match_reference_on_monotone_tables(lat, n):
+    for values in iter_monotone_tables(lat, n):
+        assert_matches_reference(FunctionTable(lat, n, values))
+
+
+ARBITRARY_CASES = [(boolean(2), 2), (chain(3), 3), (n5(), 2), (boolean(2), 0), (n5(), 0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_checkers_match_reference_on_arbitrary_tables(data):
+    lat, n = data.draw(st.sampled_from(ARBITRARY_CASES))
+    size = lat.m**n
+    values = data.draw(st.lists(st.integers(0, lat.m - 1), min_size=size, max_size=size))
+    assert_matches_reference(FunctionTable(lat, n, values))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        is_order_preserving,
+        check_median_decomposition,
+        lambda f, budget: check_homogeneity(f, "join", scope="all", budget=budget),
+        lambda f, budget: check_horizontal(f, "meet", budget=budget),
+        lambda f, budget: check_delta_preservation(f, "both", budget=budget),
+    ],
+)
+def test_index_maps_are_built_after_the_budget_check(check):
+    lat = chain(3)
+    f = FunctionTable(lat, 2, [0] * 9)
+    with pytest.raises(BudgetExceededError):
+        check(f, budget=8)  # below |L|^n = 9
+    assert lat._cache == {}
+    check(f, budget=None)
+    assert lat._cache != {}

@@ -26,7 +26,7 @@ from latpoly.terms import Const, Var
 def brute_monotone_tables(lat, n):
     """Filter every table for monotonicity; the slow reference."""
     sp = lat.point_space(n)
-    points = sp.points
+    points = list(sp.iter_points())
     out = []
     for values in itertools.product(range(lat.m), repeat=sp.size):
         ok = True
