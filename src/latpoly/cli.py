@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .budget import DEFAULT_BUDGET
 from .conditions import (
@@ -38,23 +37,6 @@ from .terms import (
     parse_term,
     table_to_text,
 )
-
-
-@dataclass
-class Invocation:
-    """One parsed command line: a single command and one function source."""
-
-    command: str
-    lattice_path: str
-    arity: int
-    terms: list
-    table_path: str | None
-    conditions: list
-    budget: int
-    limit: int | None
-    seed: int
-    scope: str
-    condition: str | None
 
 
 def _positive_int(text):
@@ -128,59 +110,38 @@ def _parse_conditions(text):
     return conds
 
 
-def _to_invocation(ns):
-    term = getattr(ns, "term", None)
-    terms = term if isinstance(term, list) else [] if term is None else [term]
-    inv = Invocation(
-        command=ns.command,
-        lattice_path=ns.lattice,
-        arity=ns.arity,
-        terms=terms,
-        table_path=getattr(ns, "table", None),
-        conditions=_parse_conditions(getattr(ns, "conditions", "")) if ns.command == "check" else [],
-        budget=ns.budget,
-        limit=getattr(ns, "limit", None),
-        seed=getattr(ns, "seed", 0),
-        scope=getattr(ns, "scope", "interval"),
-        condition=getattr(ns, "condition", None),
-    )
-    if inv.command == "equiv" and len(inv.terms) != 2:
-        raise InvalidParamsError("equiv needs exactly two --term arguments")
-    return inv
-
-
-def _load_function(inv, lat):
-    if inv.table_path is not None:
-        f = load_table(inv.table_path, lat)
-        if f.arity != inv.arity:
+def _load_function(ns, lat):
+    if ns.table is not None:
+        f = load_table(ns.table, lat)
+        if f.arity != ns.arity:
             raise ArityMismatchError(
-                f"{inv.table_path}: table arity {f.arity} "
-                f"differs from --arity {inv.arity}"
+                f"{ns.table}: table arity {f.arity} differs from --arity {ns.arity}"
             )
         return f
-    term = parse_term(inv.terms[0], lat, inv.arity)
-    return materialize(lat, term, inv.arity, budget=inv.budget)
+    term = parse_term(ns.term, lat, ns.arity)
+    return materialize(lat, term, ns.arity, budget=ns.budget)
 
 
-def _cmd_check(inv):
-    lat = load_lattice(inv.lattice_path)
-    f = _load_function(inv, lat)
-    report = evaluate_all_conditions(f, budget=inv.budget, scope=inv.scope)
-    lines = report_lines(report, conditions=inv.conditions)
+def _cmd_check(ns):
+    conditions = _parse_conditions(ns.conditions)
+    lat = load_lattice(ns.lattice)
+    f = _load_function(ns, lat)
+    report = evaluate_all_conditions(f, budget=ns.budget, scope=ns.scope)
+    lines = report_lines(report, conditions=conditions)
     for line in lines:
         print(line)
     return 1 if any(": FAIL" in line for line in lines) else 0
 
 
-def _cmd_normalize(inv):
-    lat = load_lattice(inv.lattice_path)
+def _cmd_normalize(ns):
+    lat = load_lattice(ns.lattice)
     if not lat.distributive:
         raise NotDistributiveError(
             f"lattice {lat.name!r} is not distributive; the emitted normal "
             f"form would not be equivalent to the term"
         )
-    term = parse_term(inv.terms[0], lat, inv.arity)
-    f = materialize(lat, term, inv.arity, budget=inv.budget)
+    term = parse_term(ns.term, lat, ns.arity)
+    f = materialize(lat, term, ns.arity, budget=ns.budget)
     alpha = extract_alpha(f)
     for line in dnf_to_lines(alpha):
         print(line)
@@ -188,11 +149,13 @@ def _cmd_normalize(inv):
     return 0
 
 
-def _cmd_equiv(inv):
-    lat = load_lattice(inv.lattice_path)
-    t1 = parse_term(inv.terms[0], lat, inv.arity)
-    t2 = parse_term(inv.terms[1], lat, inv.arity)
-    equal, witness = equivalent(lat, t1, t2, inv.arity, budget=inv.budget)
+def _cmd_equiv(ns):
+    if len(ns.term) != 2:
+        raise InvalidParamsError("equiv needs exactly two --term arguments")
+    lat = load_lattice(ns.lattice)
+    t1 = parse_term(ns.term[0], lat, ns.arity)
+    t2 = parse_term(ns.term[1], lat, ns.arity)
+    equal, witness = equivalent(lat, t1, t2, ns.arity, budget=ns.budget)
     print(f"equivalent: {'true' if equal else 'false'}")
     if equal:
         return 0
@@ -202,11 +165,11 @@ def _cmd_equiv(inv):
     return 1
 
 
-def _cmd_dnf_count(inv):
-    lat = load_lattice(inv.lattice_path)
-    f = _load_function(inv, lat)
+def _cmd_dnf_count(ns):
+    lat = load_lattice(ns.lattice)
+    f = _load_function(ns, lat)
     try:
-        count = enumerate_dnf(f, mode="count", limit=inv.limit, budget=inv.budget)
+        count = enumerate_dnf(f, mode="count", limit=ns.limit, budget=ns.budget)
     except NotPolynomialError:
         print("count: 0 (not a polynomial function)")
         return 1
@@ -217,20 +180,18 @@ def _cmd_dnf_count(inv):
     return 0
 
 
-def _cmd_verify(inv):
-    lat = load_lattice(inv.lattice_path)
-    report = verify_equivalence(lat, inv.arity, budget=inv.budget, seed=inv.seed)
+def _cmd_verify(ns):
+    lat = load_lattice(ns.lattice)
+    report = verify_equivalence(lat, ns.arity, budget=ns.budget, seed=ns.seed)
     print(report.format_text())
     return 0 if not report.inconsistencies else 1
 
 
-def _cmd_witness(inv):
-    lat = load_lattice(inv.lattice_path)
-    found = find_nondistributive_witness(
-        lat, inv.arity, inv.condition, budget=inv.budget
-    )
+def _cmd_witness(ns):
+    lat = load_lattice(ns.lattice)
+    found = find_nondistributive_witness(lat, ns.arity, ns.condition, budget=ns.budget)
     if found is None:
-        print(f"no witness found for condition {inv.condition}")
+        print(f"no witness found for condition {ns.condition}")
         return 1
     print(f"witness condition={found.condition} direction={found.direction}")
     print(table_to_text(found.table), end="")
@@ -258,8 +219,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        inv = _to_invocation(ns)
-        return _COMMANDS[inv.command](inv)
+        return _COMMANDS[ns.command](ns)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -28,7 +28,7 @@ from operator import itemgetter, mul
 
 from .budget import ensure_budget
 from .errors import HypothesisViolatedError, InvalidParamsError
-from .dnf import reconstruct, subset_masks
+from .dnf import extract_alpha, reconstruct, subset_masks
 
 CONDITION_IDS = ("ii", "iii", "iv", "v", "vi")
 
@@ -102,26 +102,15 @@ def _unary_maps(lat, n, digit_maps):
     return maps
 
 
-def _cover_pairs(lat, n):
-    """Triples (i, k, j): the point at index j covers the one at index i
-    along coordinate k, in grid order."""
+def _line_rows(lat, n):
+    """Rows (i, k, x_k, i0, s), in grid order and then coordinate order:
+    the line through the point x at index i along coordinate k holds the
+    indices i0 + v*s for v in L (x with x_k := v)."""
     sp = lat.point_space(n)
     return tuple(
-        (i, k, i + (c - x[k]) * sk)
+        (i, k, x[k], i - x[k] * s, s)
         for i, x in enumerate(sp.iter_points())
-        for k, sk in enumerate(sp.strides)
-        for c in lat.covers_up[x[k]]
-    )
-
-
-def _median_rows(lat, n):
-    """Rows (i, k, x_k, i0, i1): i0 and i1 index the point x at index i
-    with x_k set to bottom and to top, in grid order."""
-    sp = lat.point_space(n)
-    return tuple(
-        (i, k, x[k], i - x[k] * sk, i + (lat.top_id - x[k]) * sk)
-        for i, x in enumerate(sp.iter_points())
-        for k, sk in enumerate(sp.strides)
+        for k, s in enumerate(sp.strides)
     )
 
 
@@ -160,8 +149,7 @@ _GRID_KINDS = {
     "above": lambda lat, n: _unary_maps(
         lat, n, [[lat.top_id if ge else d for d, ge in enumerate(row)] for row in lat._leq]
     ),
-    "covers": _cover_pairs,
-    "median": _median_rows,
+    "lines": _line_rows,
     "diagonals": _diagonal_rows,
 }
 
@@ -176,10 +164,12 @@ def is_order_preserving(f, budget=None):
     n = f.arity
     vals = f.values
     ensure_budget(len(vals) * max(n, 1), budget, "monotonicity scan")
-    leq = lat._leq
-    for i, k, j in grid_map(lat, n, "covers"):
-        if not leq[vals[i]][vals[j]]:
-            return False, Witness(x=lat.point_space(n).decode(i), k=k + 1)
+    leq, covers_up = lat._leq, lat.covers_up
+    for i, k, xk, i0, s in grid_map(lat, n, "lines"):
+        below = leq[vals[i]]
+        for c in covers_up[xk]:
+            if not below[vals[i0 + c * s]]:
+                return False, Witness(x=lat.point_space(n).decode(i), k=k + 1)
     return True, None
 
 
@@ -190,10 +180,10 @@ def check_median_decomposition(f, budget=None):
     n = f.arity
     vals = f.values
     ensure_budget(len(vals) * max(n, 1), budget, "median decomposition scan")
-    meet_t, join_t = lat._meet_t, lat._join_t
-    for i, k, xk, i0, i1 in grid_map(lat, n, "median"):
+    meet_t, join_t, top = lat._meet_t, lat._join_t, lat.top_id
+    for i, k, xk, i0, s in grid_map(lat, n, "lines"):
         f0 = vals[i0]
-        f1 = vals[i1]
+        f1 = vals[i0 + top * s]
         if meet_t[meet_t[join_t[f0][xk]][join_t[f0][f1]]][join_t[xk][f1]] != vals[i]:
             return False, Witness(x=lat.point_space(n).decode(i), k=k + 1)
     return True, None
@@ -204,15 +194,12 @@ def check_self_composition(f, budget=None):
     n = 1 this is the idempotency equation f(f(x)) = f(x)."""
     lat = f.lattice
     n = f.arity
-    sp = lat.point_space(n)
-    ensure_budget(sp.size * max(n, 1), budget, "composition absorption scan")
     vals = f.values
-    strides = sp.strides
-    for i, x in enumerate(sp.iter_points()):
+    ensure_budget(len(vals) * max(n, 1), budget, "composition absorption scan")
+    for i, k, xk, i0, s in grid_map(lat, n, "lines"):
         fx = vals[i]
-        for k in range(n):
-            if vals[i + (fx - x[k]) * strides[k]] != fx:
-                return False, Witness(x=x, k=k + 1)
+        if vals[i0 + fx * s] != fx:
+            return False, Witness(x=lat.point_space(n).decode(i), k=k + 1)
     return True, None
 
 
@@ -301,25 +288,23 @@ def check_range_convexity(f, budget=None):
     lat = f.lattice
     n = f.arity
     m = lat.m
-    sp = lat.point_space(n)
-    ensure_budget(sp.size * m * max(n, 1), budget, "range convexity scan")
-    leq = lat._leq
     vals = f.values
+    ensure_budget(len(vals) * m * max(n, 1), budget, "range convexity scan")
+    leq = lat._leq
     gap = _convexity_gap(set(vals), leq, m)
     if gap is not None:
         return False, Witness(c=gap, eq="range-convex")
-    strides = sp.strides
-    for i, a in enumerate(sp.iter_points()):
-        for k in range(n):
-            if a[k] != 0:
-                continue  # same section as the representative with a_k = bottom
-            sk = strides[k]
-            section = {vals[i + v * sk] for v in range(m)}
-            if len(section) == m:
-                continue
-            gap = _convexity_gap(section, leq, m)
-            if gap is not None:
-                return False, Witness(x=a, k=k + 1, c=gap, eq="section-convex")
+    for i, k, xk, _, s in grid_map(lat, n, "lines"):
+        if xk != 0:
+            continue  # same section as the representative with x_k = bottom
+        section = set(vals[i : i + m * s : s])
+        if len(section) == m:
+            continue
+        gap = _convexity_gap(section, leq, m)
+        if gap is not None:
+            return False, Witness(
+                x=lat.point_space(n).decode(i), k=k + 1, c=gap, eq="section-convex"
+            )
     return True, None
 
 
@@ -385,86 +370,65 @@ def _earlier(mf, jf):
 # -- composite conditions ----------------------------------------------------
 
 
-class _Pieces:
-    """Memoized sub-checks for one table, shared across composite conditions."""
+def _delta_sub_check(select):
+    """A delta verdict from the pair of _delta_failures, which is kept in
+    the memo so that the diagonal scan runs at most once per table."""
 
-    def __init__(self, f, budget=None, scope="interval"):
-        self.f = f
-        self.budget = budget
-        self.scope = scope
-        self._memo = {}
-
-    def _get(self, key, fn):
-        if key not in self._memo:
-            self._memo[key] = fn()
-        return self._memo[key]
-
-    def med(self):
-        return self._get("med", lambda: check_median_decomposition(self.f, budget=self.budget))
-
-    def selfcomp(self):
-        return self._get("selfcomp", lambda: check_self_composition(self.f, budget=self.budget))
-
-    def hom_meet(self):
-        return self._get(
-            "hom_meet",
-            lambda: check_homogeneity(self.f, "meet", scope=self.scope, budget=self.budget),
-        )
-
-    def hom_join(self):
-        return self._get(
-            "hom_join",
-            lambda: check_homogeneity(self.f, "join", scope=self.scope, budget=self.budget),
-        )
-
-    def hor_meet(self):
-        return self._get("hor_meet", lambda: check_horizontal(self.f, "meet", budget=self.budget))
-
-    def hor_join(self):
-        return self._get("hor_join", lambda: check_horizontal(self.f, "join", budget=self.budget))
-
-    def idem(self):
-        return self._get("idem", lambda: check_range_idempotency(self.f, budget=self.budget))
-
-    def convex(self):
-        return self._get("convex", lambda: check_range_convexity(self.f, budget=self.budget))
-
-    def delta(self):
-        return self._get("delta", lambda: _delta_failures(self.f, budget=self.budget))
-
-    def delta_both(self):
-        fail = _earlier(*self.delta())
+    def check(f, budget, scope, memo):
+        if "delta" not in memo:
+            memo["delta"] = _delta_failures(f, budget=budget)
+        fail = select(*memo["delta"])
         return (fail is None), (fail[1] if fail else None)
 
-    def delta_join(self):
-        fail = self.delta()[1]
-        return (fail is None), (fail[1] if fail else None)
+    return check
 
 
-# sub-checks per condition, in the order the equivalence states them; the
-# tag is attached to untagged witnesses for the report (condition ii has a
-# single equation, so its witness stays untagged)
-_COMPOSITES = {
-    "ii": (("med", None),),
-    "iii": (("delta_both", None), ("convex", None), ("selfcomp", "(2)")),
-    "iv": (("hom_meet", "(3)"), ("hom_join", "(3d)")),
-    "v": (("delta_join", None), ("hom_meet", "(3)"), ("hor_meet", "(4)")),
-    "vi": (
-        ("delta_both", None),
-        ("hor_meet", "(4)"),
-        ("hor_join", "(4d)"),
-        ("idem", "(5)"),
+# The sub-checks of the composite conditions: name -> (tag, check), where
+# check(f, budget, scope, memo) returns (holds, witness).  The tag is
+# attached to untagged witnesses for the report (the median decomposition
+# is the single equation of condition ii, so its witness stays untagged).
+_SUB_CHECKS = {
+    "med": (None, lambda f, budget, scope, memo: check_median_decomposition(f, budget)),
+    "selfcomp": ("(2)", lambda f, budget, scope, memo: check_self_composition(f, budget)),
+    "hom_meet": (
+        "(3)",
+        lambda f, budget, scope, memo: check_homogeneity(f, "meet", scope, budget),
     ),
+    "hom_join": (
+        "(3d)",
+        lambda f, budget, scope, memo: check_homogeneity(f, "join", scope, budget),
+    ),
+    "hor_meet": ("(4)", lambda f, budget, scope, memo: check_horizontal(f, "meet", budget)),
+    "hor_join": ("(4d)", lambda f, budget, scope, memo: check_horizontal(f, "join", budget)),
+    "idem": ("(5)", lambda f, budget, scope, memo: check_range_idempotency(f, budget)),
+    "convex": (None, lambda f, budget, scope, memo: check_range_convexity(f, budget)),
+    "delta_both": (None, _delta_sub_check(_earlier)),
+    "delta_join": (None, _delta_sub_check(lambda mf, jf: jf)),
+}
+
+# sub-checks per condition, in the order the equivalence states them
+_COMPOSITES = {
+    "ii": ("med",),
+    "iii": ("delta_both", "convex", "selfcomp"),
+    "iv": ("hom_meet", "hom_join"),
+    "v": ("delta_join", "hom_meet", "hor_meet"),
+    "vi": ("delta_both", "hor_meet", "hor_join", "idem"),
 }
 
 
-def _condition_verdict(pieces, cond):
-    for piece, tag in _COMPOSITES[cond]:
-        ok, w = getattr(pieces, piece)()
-        if not ok:
+def _condition_verdict(f, cond, budget, scope, memo):
+    """The first failing sub-check of `cond`, each sub-check run at most
+    once per table: `memo` maps sub-check names to their verdicts."""
+    for name in _COMPOSITES[cond]:
+        got = memo.get(name)
+        if got is None:
+            tag, check = _SUB_CHECKS[name]
+            ok, w = check(f, budget, scope, memo)
             if w is not None and w.eq is None and tag is not None:
                 w = Witness(w.x, w.k, w.c, tag)
-            return False, w
+            got = memo[name] = ok, w
+        if not got[0]:
+            return got
     return True, None
 
 
@@ -472,7 +436,7 @@ def check_condition(f, cond, budget=None, scope="interval"):
     """Evaluate a single equivalence condition (ii..vi) on a table."""
     if cond not in CONDITION_IDS:
         raise InvalidParamsError(f"unknown condition {cond!r}; expected one of {CONDITION_IDS}")
-    return _condition_verdict(_Pieces(f, budget=budget, scope=scope), cond)
+    return _condition_verdict(f, cond, budget, scope, {})
 
 
 def _designated_polynomial_test(f, budget=None):
@@ -496,13 +460,13 @@ def evaluate_all_conditions(f, budget=None, known_polynomial=None, scope="interv
     short-circuits the polynomiality test when the caller already knows it.
     """
     op_ok, op_w = is_order_preserving(f, budget=budget)
-    pieces = _Pieces(f, budget=budget, scope=scope)
+    memo = {}
     entries = {}
-    ok, w = _condition_verdict(pieces, "ii")
+    ok, w = _condition_verdict(f, "ii", budget, scope, memo)
     entries["ii"] = ConditionEntry(ok, w)
     for cond in ("iii", "iv", "v", "vi"):
         if op_ok:
-            ok, w = _condition_verdict(pieces, cond)
+            ok, w = _condition_verdict(f, cond, budget, scope, memo)
             entries[cond] = ConditionEntry(ok, w)
         else:
             entries[cond] = ConditionEntry(None, None)
@@ -533,17 +497,7 @@ def classify(f, budget=None):
     poly = _designated_polynomial_test(f, budget=budget)
     bottom, top = lat.bottom_id, lat.top_id
     sugeno = poly and f.values[0] == bottom and f.values[-1] == top
-    term_function = sugeno
-    if term_function:
-        n = f.arity
-        m = lat.m
-        for mask in range(1 << n):
-            idx = 0
-            for k in range(n):
-                idx = idx * m + (top if mask >> k & 1 else bottom)
-            if f.values[idx] not in (bottom, top):
-                term_function = False
-                break
+    term_function = sugeno and all(v in (bottom, top) for v in extract_alpha(f).coeffs)
     return Classification(polynomial=poly, term_function=term_function, sugeno=sugeno)
 
 

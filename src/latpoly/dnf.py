@@ -252,16 +252,17 @@ def equivalent(lattice, t1, t2, arity, budget=None):
     """
     if lattice.distributive:
         bottom, top = lattice.bottom_id, lattice.top_id
-        for mask in subset_masks(arity):
+        masks = subset_masks(arity)
+        ensure_budget(2 * len(masks), budget, "0/1 term comparison")
+        for mask in masks:
             point = tuple(
                 top if mask >> k & 1 else bottom for k in range(arity)
             )
             if evaluate(lattice, t1, point) != evaluate(lattice, t2, point):
                 return False, point
         return True, None
-    sp = lattice.point_space(arity)
-    ensure_budget(2 * sp.size, budget, "full-domain term comparison")
-    for x in sp.iter_points():
+    ensure_budget(2 * lattice.m ** arity, budget, "full-domain term comparison")
+    for x in lattice.point_space(arity).iter_points():
         if evaluate(lattice, t1, x) != evaluate(lattice, t2, x):
             return False, tuple(x)
     return True, None

@@ -536,6 +536,15 @@ def lattice_to_text(lat):
     return "\n".join(lines) + "\n"
 
 
+def read_text_file(path):
+    """The text of a lattice or table file; a FormatError naming the file
+    when its bytes are not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text ({exc.reason} at byte {exc.start})", str(path)) from exc
+
+
 def load_lattice(path, max_size=DEFAULT_MAX_ELEMENTS):
-    with open(path, "r", encoding="utf-8") as fh:
-        return lattice_from_text(fh.read(), source=str(path), max_size=max_size)
+    return lattice_from_text(read_text_file(path), source=str(path), max_size=max_size)

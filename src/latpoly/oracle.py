@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .budget import ensure_budget, resolve_budget
 from .conditions import check_condition, evaluate_all_conditions, grid_map
-from .dnf import DNFMap, dnf_evaluate, subset_masks
+from .dnf import MAX_DNF_VARS, DNFMap, dnf_evaluate
 from .errors import (
     BudgetExceededError,
     InvalidParamsError,
@@ -80,24 +80,24 @@ class FunctionSet:
 
 def _point_lower_covers(lattice, n):
     """For each grid index, the indices covered by it in the product order."""
+    covers_down = lattice.covers_down
     out = [[] for _ in range(lattice.m ** n)]
-    for i, _, j in grid_map(lattice, n, "covers"):
-        out[j].append(i)
+    for i, _, xk, i0, s in grid_map(lattice, n, "lines"):
+        out[i].extend(i0 + c * s for c in covers_down[xk])
     return out
 
 
-def iter_monotone_tables(lattice, n):
-    """All order-preserving tables L^n -> L, in canonical order.
+def _monotone_assignments(lattice, lower):
+    """Every assignment of lattice elements to the positions 0..len(lower)-1
+    that is monotone along `lower`, in lexicographic order, as tuples.
 
-    Values are assigned along the grid's linear extension; at each point
-    the admissible values are the up-set of the join of the values already
-    fixed on its lower covers, which is exactly monotonicity.
+    lower[p] lists the positions below p, all of them earlier than p.  At
+    each position the admissible values are the up-set of the join of the
+    values already fixed below it, which is exactly monotonicity.
     """
-    sp = lattice.point_space(n)
-    size = sp.size
     join_t = lattice._join_t
     ups = [tuple(lattice.upset_ids(v)) for v in range(lattice.m)]
-    lower = _point_lower_covers(lattice, n)
+    size = len(lower)
     values = [0] * size
 
     def options(i):
@@ -120,6 +120,12 @@ def iter_monotone_tables(lattice, n):
         else:
             pos += 1
             iters[pos] = iter(options(pos))
+
+
+def iter_monotone_tables(lattice, n):
+    """All order-preserving tables L^n -> L, in canonical order: values are
+    assigned along the grid's linear extension."""
+    yield from _monotone_assignments(lattice, _point_lower_covers(lattice, n))
 
 
 def count_monotone_tables(lattice, n, stop_after=None):
@@ -157,11 +163,11 @@ def closure_polynomials(lattice, n, budget=None):
     cached = lattice._cache.get(key)
     if cached is not None:
         return cached
-    sp = lattice.point_space(n)
-    size = sp.size
+    size = lattice.m ** n
     m = lattice.m
     allowed = resolve_budget(budget)
     ensure_budget(size * (n + m), budget, "clone generator construction")
+    sp = lattice.point_space(n)
 
     tables = set()
     for k in range(n):
@@ -205,43 +211,23 @@ def enumerate_polynomials_distributive(lattice, n, budget=None):
             "normal-form enumeration of polynomial functions needs a "
             "distributive lattice"
         )
+    if n > MAX_DNF_VARS:
+        raise InvalidParamsError(
+            f"subset enumeration supports 0..{MAX_DNF_VARS} positions, got {n}"
+        )
     sp = lattice.point_space(n)
-    order = subset_masks(n)
-    total = len(order)
-    ups = [tuple(lattice.upset_ids(v)) for v in range(lattice.m)]
-    join_t = lattice._join_t
     allowed = resolve_budget(budget)
     ops = 0
-
-    by_mask = [0] * (1 << n)
     out = FunctionSet(lattice, n)
-
-    def options(pos):
-        mask = order[pos]
-        lo = 0
-        for k in range(n):
-            if mask >> k & 1:
-                lo = join_t[lo][by_mask[mask ^ (1 << k)]]
-        return ups[lo]
-
-    iters = [None] * total
-    iters[0] = iter(options(0))
-    pos = 0
-    while pos >= 0:
-        nxt = next(iters[pos], None)
-        if nxt is None:
-            pos -= 1
-            continue
-        by_mask[order[pos]] = nxt
-        if pos + 1 == total:
-            alpha = DNFMap(lattice, n, tuple(by_mask))
-            ops += sp.size * max(1, total)
-            if ops > allowed:
-                raise BudgetExceededError(ops, allowed, "normal-form image enumeration")
-            out.add(tuple(dnf_evaluate(alpha, x) for x in sp.iter_points()))
-        else:
-            pos += 1
-            iters[pos] = iter(options(pos))
+    # coefficient masks in numeric order extend inclusion: each mask comes
+    # after the masks one bit below it
+    lower = [[mask ^ (1 << k) for k in range(n) if mask >> k & 1] for mask in range(1 << n)]
+    for coeffs in _monotone_assignments(lattice, lower):
+        alpha = DNFMap(lattice, n, coeffs)
+        ops += sp.size * len(coeffs)
+        if ops > allowed:
+            raise BudgetExceededError(ops, allowed, "normal-form image enumeration")
+        out.add(tuple(dnf_evaluate(alpha, x) for x in sp.iter_points()))
     return out
 
 
@@ -291,9 +277,9 @@ def verify_equivalence(lattice, n, budget=None, seed=0, max_sample=1000):
     bug (the equivalence is a theorem), so callers should treat a non-empty
     inconsistency list as a failure.
     """
-    sp = lattice.point_space(n)
     allowed = resolve_budget(budget)
     closure = closure_polynomials(lattice, n, budget=budget)
+    sp = lattice.point_space(n)
     max_tables = max(1, allowed // (sp.size * _COST_FACTOR))
     total = count_monotone_tables(lattice, n, stop_after=max_tables)
     if total <= max_tables:
@@ -358,9 +344,9 @@ def find_nondistributive_witness(lattice, n, condition, budget=None):
         raise NotNonDistributiveError(
             f"lattice {lattice.name!r} is distributive, so no witness can exist"
         )
-    sp = lattice.point_space(n)
     allowed = resolve_budget(budget)
     closure = closure_polynomials(lattice, n, budget=budget)
+    sp = lattice.point_space(n)
 
     for f in closure:
         ok, witness = check_condition(f, condition, budget=budget)

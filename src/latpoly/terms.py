@@ -32,7 +32,7 @@ from .errors import (
     UnknownElementError,
     VarOutOfRangeError,
 )
-from .lattice import Element
+from .lattice import Element, read_text_file
 
 
 # -- AST ----------------------------------------------------------------------
@@ -486,8 +486,7 @@ def table_to_text(f):
 
 
 def load_table(path, lattice):
-    with open(path, "r", encoding="utf-8") as fh:
-        return table_from_text(fh.read(), lattice, source=str(path))
+    return table_from_text(read_text_file(path), lattice, source=str(path))
 
 
 # -- random terms (for property tests and experiments) -------------------

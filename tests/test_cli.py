@@ -199,6 +199,21 @@ def test_equiv_witness(capsys, chain3_file):
     assert out[1] == "witness: x=(1,0) lhs=1 rhs=0"
 
 
+def test_equiv_budget_exceeded(capsys, chain3_file):
+    code = main([
+        "equiv",
+        "--lattice", str(chain3_file),
+        "--arity", "1",
+        "--term", "x1",
+        "--term", "x1",
+        "--budget", "1",
+    ])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: 0/1 term comparison needs 4 point evaluations but the budget allows 1\n"
+    )
+
+
 def test_equiv_needs_two_terms(capsys, chain3_file):
     code, _ = run(
         capsys,
@@ -322,6 +337,26 @@ def test_table_missing_point_is_format_error(capsys, chain3_file, tmp_path):
         "--table", str(tbl),
     )
     assert code == 2
+
+
+def test_non_utf8_lattice_file(capsys, tmp_path):
+    lat = tmp_path / "binary.lat"
+    lat.write_bytes(bytes(range(256)))
+    code = main(["check", "--lattice", str(lat), "--arity", "1", "--term", "x1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {lat}: not UTF-8 text (invalid start byte at byte 128)\n"
+    )
+
+
+def test_non_utf8_table_file(capsys, chain3_file, tmp_path):
+    tbl = tmp_path / "latin1.tbl"
+    tbl.write_bytes(b"table 1\n0 -> 0\nm -> \xff\n1 -> 1\n")
+    code = main(["check", "--lattice", str(chain3_file), "--arity", "1", "--table", str(tbl)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {tbl}: not UTF-8 text (invalid start byte at byte 20)\n"
+    )
 
 
 def test_term_with_unknown_element(capsys, chain3_file):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -496,6 +497,38 @@ def ref_horizontal(f, direction):
     return True, None
 
 
+def ref_idempotency(f):
+    for c in ref_interval(f):
+        if f((c,) * f.arity) != c:
+            return False, Witness(c=c)
+    return True, None
+
+
+def ref_gap(lat, values):
+    """Smallest element missing from `values` yet between two members."""
+    for y in range(lat.m):
+        if y in values:
+            continue
+        if any(lat.leq(u, y) for u in values) and any(lat.leq(y, v) for v in values):
+            return y
+    return None
+
+
+def ref_convexity(f):
+    lat = f.lattice
+    gap = ref_gap(lat, {f(x) for x in ref_points(lat, f.arity)})
+    if gap is not None:
+        return False, Witness(c=gap, eq="range-convex")
+    for x in ref_points(lat, f.arity):
+        for k in range(f.arity):
+            if x[k] != lat.bottom_id:
+                continue  # each section is reported at its point with x_k = bottom
+            gap = ref_gap(lat, {f(ref_set(x, k, v)) for v in range(lat.m)})
+            if gap is not None:
+                return False, Witness(x=x, k=k + 1, c=gap, eq="section-convex")
+    return True, None
+
+
 def ref_delta(f, which):
     """Diagonals of f and of its constant substitutions: substituted
     coordinate sets by size then bitmask (never all of them), substituted
@@ -522,6 +555,39 @@ def ref_delta(f, which):
     return False, min(fails, key=lambda fail: fail[0])[1]
 
 
+def ref_condition(f, cond, scope):
+    """The first failing sub-check of `cond` in the order the equivalence
+    states them, its witness tagged with the equation it violates."""
+    subs = {
+        "ii": [(ref_median, (), None)],
+        "iii": [
+            (ref_delta, ("both",), None),
+            (ref_convexity, (), None),
+            (ref_selfcomp, (), "(2)"),
+        ],
+        "iv": [
+            (ref_homogeneity, ("meet", scope), "(3)"),
+            (ref_homogeneity, ("join", scope), "(3d)"),
+        ],
+        "v": [
+            (ref_delta, ("join",), None),
+            (ref_homogeneity, ("meet", scope), "(3)"),
+            (ref_horizontal, ("meet",), "(4)"),
+        ],
+        "vi": [
+            (ref_delta, ("both",), None),
+            (ref_horizontal, ("meet",), "(4)"),
+            (ref_horizontal, ("join",), "(4d)"),
+            (ref_idempotency, (), "(5)"),
+        ],
+    }[cond]
+    for reference, args, tag in subs:
+        ok, w = reference(f, *args)
+        if not ok:
+            return False, dataclasses.replace(w, eq=tag) if tag else w
+    return True, None
+
+
 def outcome(check, *args):
     try:
         return check(*args)
@@ -533,6 +599,8 @@ CHECKER_PAIRS = [
     (is_order_preserving, ref_order, ()),
     (check_median_decomposition, ref_median, ()),
     (check_self_composition, ref_selfcomp, ()),
+    (check_range_idempotency, ref_idempotency, ()),
+    (check_range_convexity, ref_convexity, ()),
     *[
         (check_homogeneity, ref_homogeneity, (direction, scope))
         for direction in ("meet", "join")
@@ -548,6 +616,10 @@ def assert_matches_reference(f):
     for check, reference, args in CHECKER_PAIRS:
         got = outcome(check, f, *args)
         assert got == outcome(reference, f, *args), (check.__name__, args, f.values)
+    for cond in ("ii", "iii", "iv", "v", "vi"):
+        for scope in ("interval", "all"):
+            got = outcome(check_condition, f, cond, None, scope)
+            assert got == outcome(ref_condition, f, cond, scope), (cond, scope, f.values)
 
 
 @pytest.mark.parametrize("lat, n", [(chain(3), 2), (boolean(2), 1), (n5(), 1)])
@@ -573,6 +645,8 @@ def test_checkers_match_reference_on_arbitrary_tables(data):
     [
         is_order_preserving,
         check_median_decomposition,
+        check_self_composition,
+        check_range_convexity,
         lambda f, budget: check_homogeneity(f, "join", scope="all", budget=budget),
         lambda f, budget: check_horizontal(f, "meet", budget=budget),
         lambda f, budget: check_delta_preservation(f, "both", budget=budget),

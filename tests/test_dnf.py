@@ -15,12 +15,15 @@ from latpoly import (
     extract_alpha,
     format_subset,
     materialize,
+    n5,
     parse_term,
     random_term,
     reconstruct,
     subset_masks,
 )
 from latpoly.errors import (
+    BudgetExceededError,
+    InvalidParamsError,
     LimitExceededError,
     NotDistributiveError,
     NotPolynomialError,
@@ -251,6 +254,23 @@ def test_equivalent_full_domain_on_non_distributive(pentagon):
     equal, witness = equivalent(pentagon, t1, t2, 1)
     assert not equal
     assert witness == (pentagon.element("c").id,)
+
+
+def test_equivalent_checks_the_budget_on_distributive_lattices(chain3):
+    x1 = parse_term("x1", chain3, 1)
+    with pytest.raises(InvalidParamsError):
+        equivalent(chain3, x1, x1, 21, budget=10)  # the arity check comes first
+    with pytest.raises(BudgetExceededError, match="needs 524288 point evaluations"):
+        equivalent(chain3, x1, x1, 18, budget=10)
+    assert equivalent(chain3, x1, x1, 2, budget=8) == (True, None)
+
+
+def test_equivalent_full_domain_checks_the_budget_first():
+    lat = n5()
+    x1 = parse_term("x1", lat, 1)
+    with pytest.raises(BudgetExceededError):
+        equivalent(lat, x1, x1, 3000)
+    assert ("space", 3000) not in lat._cache  # no PointSpace of 3000 strides
 
 
 @given(data=st.data())

@@ -6,6 +6,7 @@ import pytest
 from latpoly import (
     FunctionTable,
     chain,
+    n5,
     check_condition,
     closure_polynomials,
     count_monotone_tables,
@@ -18,7 +19,7 @@ from latpoly import (
     random_monotone_table,
     verify_equivalence,
 )
-from latpoly.errors import NotDistributiveError, NotNonDistributiveError
+from latpoly.errors import BudgetExceededError, NotDistributiveError, NotNonDistributiveError
 from latpoly.oracle import FunctionSet
 from latpoly.terms import Const, Var
 
@@ -237,3 +238,19 @@ def test_diamond_yields_some_witness(diamond):
 def test_witness_search_rejects_distributive(chain4):
     with pytest.raises(NotNonDistributiveError):
         find_nondistributive_witness(chain4, 1, "iv")
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        closure_polynomials,
+        verify_equivalence,
+        lambda lat, n: find_nondistributive_witness(lat, n, "iv"),
+    ],
+)
+def test_refused_searches_build_no_point_space(search):
+    # the budget is checked on |L|^n before the PointSpace (n strides) exists
+    lat = n5()
+    with pytest.raises(BudgetExceededError):
+        search(lat, 3000)
+    assert ("space", 3000) not in lat._cache
