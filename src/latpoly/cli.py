@@ -2,7 +2,9 @@
 
 Exit codes: 0 all requested properties hold (or terms are equivalent);
 1 a property fails or terms differ (witnesses printed); 2 usage or format
-error, or any other error of this package; 3 evaluation budget exceeded.
+error, or any other error of this package; 3 evaluation budget exceeded;
+4 internal error (an unexpected exception, reported on one line as
+``error: internal error: <Type>: <message>``).
 """
 
 from __future__ import annotations
@@ -226,6 +228,9 @@ def main(argv=None):
     except (LatPolyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

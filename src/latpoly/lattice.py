@@ -67,29 +67,22 @@ class FiniteLattice:
             )
         if len(set(element_names)) != m:
             raise InvalidParamsError("element names must be unique")
+        up, down = _order_rows(leq, m)
         for i in range(m):
-            if not leq[i][i]:
+            if not up[i] >> i & 1:
                 raise InvalidParamsError("order relation is not reflexive")
         for i in range(m):
-            row = leq[i]
-            for j in range(m):
-                if i != j and row[j] and leq[j][i]:
-                    raise CycleError(
-                        f"elements {element_names[i]!r} and "
-                        f"{element_names[j]!r} order each other"
-                    )
+            both = up[i] & down[i] & ~(1 << i)
+            if both:
+                raise CycleError(
+                    f"elements {element_names[i]!r} and "
+                    f"{element_names[next(_members(both))]!r} order each other"
+                )
         for i in range(m):
-            for j in range(m):
-                if leq[i][j]:
-                    rj = leq[j]
-                    ri = leq[i]
-                    for k in range(m):
-                        if rj[k] and not ri[k]:
-                            raise InvalidParamsError(
-                                "order relation is not transitive"
-                            )
+            if any(up[j] & ~up[i] for j in _members(up[i])):
+                raise InvalidParamsError("order relation is not transitive")
 
-        order = _linear_extension(leq)
+        order = _linear_extension(down)
         self.name = name
         self.m = m
         self.elements = tuple(
@@ -98,95 +91,50 @@ class FiniteLattice:
         self._id_by_name = {e.name: e.id for e in self.elements}
         self._leq = [[leq[order[i]][order[j]] for j in range(m)] for i in range(m)]
 
-        bottoms = [i for i in range(m) if all(self._leq[i][x] for x in range(m))]
-        tops = [i for i in range(m) if all(self._leq[x][i] for x in range(m))]
-        if not bottoms or not tops:
+        # in a linear extension only id 0 can be a global minimum and only
+        # id m-1 a global maximum
+        up, down = _order_rows(self._leq, m)
+        full = (1 << m) - 1
+        if up[0] != full or down[m - 1] != full:
             raise NoBoundsError(
                 f"lattice {name!r} has no global "
-                + ("minimum" if not bottoms else "maximum")
+                + ("minimum" if up[0] != full else "maximum")
             )
-        self.bottom_id = bottoms[0]
-        self.top_id = tops[0]
+        self.bottom_id = 0
+        self.top_id = m - 1
 
-        self._meet_t, self._join_t = self._build_tables()
-        self.covers_up, self.covers_down = self._build_covers()
-        self.distributive = self._scan_distributive()
+        self._meet_t, self._join_t = self._build_tables(up, down)
+        self.covers_up = _build_covers(up, down)
+        self.covers_down = _build_covers(down, up)
+        self.distributive = _join_irreducibles_prime(up, self.covers_down, self._join_t)
         self._cache = {}
 
     # -- construction internals -------------------------------------------
 
-    def _build_tables(self):
+    def _build_tables(self, up, down):
         m = self.m
-        leq = self._leq
         meet_t = [[0] * m for _ in range(m)]
         join_t = [[0] * m for _ in range(m)]
         for i in range(m):
-            li = leq[i]
+            ui, di = up[i], down[i]
             for j in range(i, m):
-                lj = leq[j]
-                uppers = [k for k in range(m) if li[k] and lj[k]]
-                if not uppers:
-                    raise NotALatticeError(
-                        f"elements {self.elements[i].name!r} and "
-                        f"{self.elements[j].name!r} have no upper bound",
-                        pair=(i, j),
-                    )
                 # ids are a linear extension, so a least upper bound, if it
                 # exists, is the smallest id among the upper bounds
-                u0 = uppers[0]
-                lu = leq[u0]
-                if not all(lu[u] for u in uppers):
+                uppers = ui & up[j]
+                u0 = (uppers & -uppers).bit_length() - 1
+                if uppers != up[u0]:
                     raise NotALatticeError(
                         f"elements {self.elements[i].name!r} and "
                         f"{self.elements[j].name!r} have no least upper bound",
                         pair=(i, j),
                     )
-                lowers = [k for k in range(m) if leq[k][i] and leq[k][j]]
-                if not lowers:
-                    raise NotALatticeError(
-                        f"elements {self.elements[i].name!r} and "
-                        f"{self.elements[j].name!r} have no lower bound",
-                        pair=(i, j),
-                    )
-                w0 = lowers[-1]
-                if not all(leq[w][w0] for w in lowers):
-                    raise NotALatticeError(
-                        f"elements {self.elements[i].name!r} and "
-                        f"{self.elements[j].name!r} have no greatest lower bound",
-                        pair=(i, j),
-                    )
+                # no glb check: two maximal common lower bounds r, s of i and j
+                # have ids below i, and the earlier pair (r, s) has no least
+                # upper bound, since any would be a larger common lower bound
+                w0 = (di & down[j]).bit_length() - 1
                 join_t[i][j] = join_t[j][i] = u0
                 meet_t[i][j] = meet_t[j][i] = w0
         return meet_t, join_t
-
-    def _build_covers(self):
-        m = self.m
-        leq = self._leq
-        up = [[] for _ in range(m)]
-        down = [[] for _ in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                if not leq[i][j]:
-                    continue
-                if any(leq[i][k] and leq[k][j] for k in range(i + 1, j)):
-                    continue
-                up[i].append(j)
-                down[j].append(i)
-        return [tuple(l) for l in up], [tuple(l) for l in down]
-
-    def _scan_distributive(self):
-        m = self.m
-        meet_t = self._meet_t
-        join_t = self._join_t
-        for x in range(m):
-            mx = meet_t[x]
-            for y in range(m):
-                xy = mx[y]
-                jy = join_t[y]
-                for z in range(m):
-                    if mx[jy[z]] != join_t[xy][mx[z]]:
-                        return False
-        return True
 
     # -- basic operations --------------------------------------------------
 
@@ -272,20 +220,61 @@ class FiniteLattice:
         )
 
 
-def _linear_extension(leq):
-    """Kahn's algorithm; ties broken by position (declaration order)."""
-    m = len(leq)
-    pred = [sum(1 for j in range(m) if j != i and leq[j][i]) for i in range(m)]
-    remaining = list(range(m))
+def _order_rows(leq, m):
+    """Each position's up-set and down-set under ``leq``, as ints with bit j
+    standing for position j."""
+    up = [sum(1 << j for j in range(m) if leq[i][j]) for i in range(m)]
+    down = [sum(1 << i for i in range(m) if leq[i][j]) for j in range(m)]
+    return up, down
+
+
+def _members(bits):
+    """Positions of the set bits, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _linear_extension(down):
+    """Kahn's algorithm on the down-set rows; ties broken by position
+    (declaration order)."""
+    placed = 0
     order = []
-    while remaining:
-        pick = next(i for i in remaining if pred[i] == 0)
+    for _ in down:
+        pick = next(
+            i for i, d in enumerate(down)
+            if not placed >> i & 1 and d & ~placed == 1 << i
+        )
         order.append(pick)
-        remaining.remove(pick)
-        for j in remaining:
-            if leq[pick][j]:
-                pred[j] -= 1
+        placed |= 1 << pick
     return order
+
+
+def _build_covers(rows, dual):
+    """For each i, the minimal members of rows[i] other than i, ascending:
+    the upper covers when rows are up-sets and dual the down-sets, the lower
+    covers the other way round."""
+    covers = []
+    for i, row in enumerate(rows):
+        strict = row ^ (1 << i)
+        covers.append(tuple(j for j in _members(strict) if strict & dual[j] == 1 << j))
+    return covers
+
+
+def _join_irreducibles_prime(up, covers_down, join_t):
+    """Birkhoff's criterion for distributivity: a finite lattice is
+    distributive iff every join-irreducible j (exactly one lower cover) is
+    join-prime, that is, the join of all x with j not <= x is not >= j."""
+    full = (1 << len(up)) - 1
+    for j, lower in enumerate(covers_down):
+        if len(lower) == 1:
+            s = 0
+            for x in _members(full ^ up[j]):
+                s = join_t[s][x]
+            if up[j] >> s & 1:
+                return False
+    return True
 
 
 def _closure_from_covers(names, covers, what="lattice"):
@@ -402,7 +391,7 @@ def downset_lattice(poset_names, poset_covers, name=None, max_size=DEFAULT_MAX_E
     if p > 20:
         raise InvalidParamsError("downset construction supports at most 20 poset elements")
     leq = _closure_from_covers(poset_names, poset_covers, what="poset")
-    below = [sum(1 << i for i in range(p) if leq[i][j]) for j in range(p)]
+    below = _order_rows(leq, p)[1]
 
     downsets = []
     for mask in range(1 << p):

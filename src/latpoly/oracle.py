@@ -87,6 +87,14 @@ def _point_lower_covers(lattice, n):
     return out
 
 
+def _floor(join_t, below, values):
+    """The join of the values at the positions `below`."""
+    lo = 0
+    for j in below:
+        lo = join_t[lo][values[j]]
+    return lo
+
+
 def _monotone_assignments(lattice, lower):
     """Every assignment of lattice elements to the positions 0..len(lower)-1
     that is monotone along `lower`, in lexicographic order, as tuples.
@@ -99,15 +107,8 @@ def _monotone_assignments(lattice, lower):
     ups = [tuple(lattice.upset_ids(v)) for v in range(lattice.m)]
     size = len(lower)
     values = [0] * size
-
-    def options(i):
-        lo = 0
-        for j in lower[i]:
-            lo = join_t[lo][values[j]]
-        return ups[lo]
-
     iters = [None] * size
-    iters[0] = iter(options(0))
+    iters[0] = iter(ups[0])
     pos = 0
     while pos >= 0:
         nxt = next(iters[pos], None)
@@ -119,7 +120,7 @@ def _monotone_assignments(lattice, lower):
             yield tuple(values)
         else:
             pos += 1
-            iters[pos] = iter(options(pos))
+            iters[pos] = iter(ups[_floor(join_t, lower[pos], values)])
 
 
 def iter_monotone_tables(lattice, n):
@@ -140,16 +141,12 @@ def count_monotone_tables(lattice, n, stop_after=None):
 
 def random_monotone_table(lattice, n, rng):
     """One order-preserving table drawn with a seeded generator."""
-    sp = lattice.point_space(n)
     join_t = lattice._join_t
     ups = [tuple(lattice.upset_ids(v)) for v in range(lattice.m)]
     lower = _point_lower_covers(lattice, n)
-    values = [0] * sp.size
-    for i in range(sp.size):
-        lo = 0
-        for j in lower[i]:
-            lo = join_t[lo][values[j]]
-        values[i] = rng.choice(ups[lo])
+    values = [0] * len(lower)
+    for i, below in enumerate(lower):
+        values[i] = rng.choice(ups[_floor(join_t, below, values)])
     return tuple(values)
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from latpoly import cli
 from latpoly.cli import main
 from latpoly.terms import MAX_TERM_DEPTH
 
@@ -359,6 +360,19 @@ def test_non_utf8_table_file(capsys, chain3_file, tmp_path):
     )
 
 
+def test_non_lattice_file(capsys, tmp_path):
+    lat = tmp_path / "bowtie.lat"
+    lat.write_text(
+        "lattice bowtie\nelements: 0 a b c d 1\ncovers:\n"
+        "0 < a\n0 < b\na < c\na < d\nb < c\nb < d\nc < 1\nd < 1\n"
+    )
+    code = main(["verify", "--lattice", str(lat), "--arity", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: elements 'a' and 'b' have no least upper bound\n"
+    )
+
+
 def test_term_with_unknown_element(capsys, chain3_file):
     code, _ = run(
         capsys,
@@ -383,3 +397,13 @@ def test_table_arity_mismatch(capsys, chain3_file, step_file):
 
 def test_usage_error_without_command(capsys):
     assert main([]) == 2
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, chain3_file):
+    def broken(ns):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", broken)
+    code = main(["verify", "--lattice", str(chain3_file), "--arity", "1"])
+    assert code == 4
+    assert capsys.readouterr().err == "error: internal error: RuntimeError: boom\n"

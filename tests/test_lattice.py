@@ -23,13 +23,15 @@ from latpoly.errors import (
     NotALatticeError,
     UnknownElementError,
 )
+from latpoly.lattice import FiniteLattice
 
 # shared fixture pool for hypothesis draws (built once; lattices are immutable)
 LATTICES = [chain(2), chain(3), chain(4), boolean(2), boolean(3), n5(), m3()]
 
 
 def naive_distributive(lat):
-    """Independent triple scan, kept separate from the constructor's one."""
+    """The distributive law checked on every triple: the reference for the
+    constructor's join-prime test."""
     m = lat.m
     for x in range(m):
         for y in range(m):
@@ -72,35 +74,60 @@ def test_pentagon_from_covers_not_distributive():
 
 
 def test_cycle_error():
-    with pytest.raises(CycleError):
+    with pytest.raises(CycleError, match="^the covers create a cycle through '0' and 'a'$"):
         build_from_covers("bad", ["0", "a"], [("0", "a"), ("a", "0")])
 
 
 def test_self_cover_is_a_cycle():
-    with pytest.raises(CycleError):
+    with pytest.raises(CycleError, match="^cover '0' < '0' relates an element to itself$"):
         build_from_covers("bad", ["0", "a"], [("0", "0")])
 
 
+@pytest.mark.parametrize(
+    "leq, error, text",
+    [
+        ([[1, 1], [0, 0]], InvalidParamsError, "order relation is not reflexive"),
+        ([[1, 1, 1], [1, 1, 1], [1, 1, 1]], CycleError, "elements 'a' and 'b' order each other"),
+        ([[1, 1, 0], [0, 1, 1], [0, 0, 1]], InvalidParamsError, "order relation is not transitive"),
+    ],
+)
+def test_order_matrix_refusals(leq, error, text):
+    names = ["a", "b", "c"][: len(leq)]
+    with pytest.raises(error, match=f"^{text}$"):
+        FiniteLattice("bad", names, leq)
+
+
 def test_no_bounds():
-    # two disjoint 2-chains: no global bottom
-    with pytest.raises(NoBoundsError):
-        build_from_covers("bad", ["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+    cases = [
+        # two disjoint 2-chains: no global bottom
+        (["a", "b", "c", "d"], [("a", "b"), ("c", "d")], "minimum"),
+        (["0", "a", "b"], [("0", "a"), ("0", "b")], "maximum"),
+    ]
+    for names, covers, missing in cases:
+        with pytest.raises(NoBoundsError, match=f"^lattice 'bad' has no global {missing}$"):
+            build_from_covers("bad", names, covers)
 
 
 def test_not_a_lattice():
-    # a, b have two minimal upper bounds c, d
-    covers = [
-        ("0", "a"),
-        ("0", "b"),
-        ("a", "c"),
-        ("a", "d"),
-        ("b", "c"),
-        ("b", "d"),
-        ("c", "1"),
-        ("d", "1"),
+    cases = [
+        # a, b have two minimal upper bounds c, d
+        (
+            [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"),
+             ("b", "c"), ("b", "d"), ("c", "1"), ("d", "1")],
+            "elements 'a' and 'b' have no least upper bound",
+        ),
+        # the dual: a, b have two maximal lower bounds c, d, and the pair
+        # (c, d), earlier in the linear extension, has no least upper bound
+        (
+            [("0", "c"), ("0", "d"), ("c", "a"), ("d", "a"),
+             ("c", "b"), ("d", "b"), ("a", "1"), ("b", "1")],
+            "elements 'c' and 'd' have no least upper bound",
+        ),
     ]
-    with pytest.raises(NotALatticeError):
-        build_from_covers("bad", ["0", "a", "b", "c", "d", "1"], covers)
+    for covers, text in cases:
+        with pytest.raises(NotALatticeError, match=f"^{text}$") as info:
+            build_from_covers("bad", ["0", "a", "b", "c", "d", "1"], covers)
+        assert info.value.pair == (1, 2)
 
 
 def test_duplicate_names_rejected():
@@ -112,6 +139,126 @@ def test_size_cap():
     with pytest.raises(InvalidParamsError):
         chain(300)
     assert chain(300, max_size=512).m == 300
+
+
+# -- differential construction against brute force ---------------------------
+
+
+def brute_closure(names, covers):
+    """Reflexive-transitive closure of a cover list, by Warshall's algorithm."""
+    m = len(names)
+    index = {nm: i for i, nm in enumerate(names)}
+    leq = [[i == j for j in range(m)] for i in range(m)]
+    for low, high in covers:
+        leq[index[low]][index[high]] = True
+    for k in range(m):
+        for i in range(m):
+            if leq[i][k]:
+                leq[i] = [a or b for a, b in zip(leq[i], leq[k])]
+    return leq
+
+
+def least(candidates, below):
+    """The members c of candidates with below(c, d) for every member d."""
+    return [c for c in candidates if all(below(c, d) for d in candidates)]
+
+
+def brute_refusal(names, covers):
+    """The error type a cover relation must be refused with, or None when
+    its closure is a bounded lattice."""
+    m = len(names)
+    leq = brute_closure(names, covers)
+    if any(low == high for low, high in covers) or any(
+        i != j and leq[i][j] and leq[j][i] for i in range(m) for j in range(m)
+    ):
+        return CycleError
+    if not any(all(leq[b]) for b in range(m)) or not any(
+        all(row[t] for row in leq) for t in range(m)
+    ):
+        return NoBoundsError
+    for a in range(m):
+        for b in range(m):
+            uppers = [u for u in range(m) if leq[a][u] and leq[b][u]]
+            lowers = [w for w in range(m) if leq[w][a] and leq[w][b]]
+            if not least(uppers, lambda u, v: leq[u][v]) or not least(
+                lowers, lambda w, v: leq[v][w]
+            ):
+                return NotALatticeError
+    return None
+
+
+def assert_matches_brute_force(lat):
+    """Bounds, meet, join, covers and the distributive flag of a built
+    lattice, each against a brute-force reading of its order `_leq`."""
+    m, leq = lat.m, lat._leq
+    assert all(leq[lat.bottom_id]) and all(row[lat.top_id] for row in leq)
+    for a in range(m):
+        for b in range(m):
+            uppers = [u for u in range(m) if leq[a][u] and leq[b][u]]
+            lowers = [w for w in range(m) if leq[w][a] and leq[w][b]]
+            assert least(uppers, lambda u, v: leq[u][v]) == [lat.join(a, b)]
+            assert least(lowers, lambda w, v: leq[v][w]) == [lat.meet(a, b)]
+    for i in range(m):
+        above = [j for j in range(m) if j != i and leq[i][j]]
+        below = [j for j in range(m) if j != i and leq[j][i]]
+        assert lat.covers_up[i] == tuple(
+            j for j in above if not any(k != j and leq[k][j] for k in above)
+        )
+        assert lat.covers_down[i] == tuple(
+            j for j in below if not any(k != j and leq[j][k] for k in below)
+        )
+    assert lat.distributive == naive_distributive(lat)
+
+
+@st.composite
+def cover_relations(draw):
+    """Element names and a cover list, declared in a drawn order: arbitrary
+    pairs (cycles and self-covers included), pairs oriented upward, or
+    upward pairs under an added bottom and top."""
+    shape = draw(st.sampled_from(["any", "upward", "bounded"]))
+    m = draw(st.integers(1, 9))
+    ids = st.integers(0, m - 1)
+    pairs = draw(st.sets(st.tuples(ids, ids), min_size=m, max_size=2 * m))
+    if shape != "any":
+        pairs = [(min(p), max(p)) for p in pairs if p[0] != p[1]]
+    names = [f"e{i}" for i in range(m)]
+    covers = [(names[a], names[b]) for a, b in pairs]
+    if shape == "bounded":
+        covers += [("bot", x) for x in names] + [(x, "top") for x in names]
+        names += ["bot", "top"]
+    return draw(st.permutations(names)), covers
+
+
+@given(relation=cover_relations())
+@settings(max_examples=300, deadline=None)
+def test_cover_relations_match_brute_force(relation):
+    names, covers = relation
+    refusal = brute_refusal(names, covers)
+    if refusal is not None:
+        with pytest.raises(refusal):
+            build_from_covers("r", names, covers)
+        return
+    lat = build_from_covers("r", names, covers)
+    closure = brute_closure(names, covers)
+    for a, x in enumerate(names):
+        for b, y in enumerate(names):
+            assert lat.leq(lat.element(x), lat.element(y)) == closure[a][b]
+    assert_matches_brute_force(lat)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_products_and_downsets_match_brute_force(data):
+    if data.draw(st.booleans()):
+        factors = st.sampled_from([chain(2), chain(3), boolean(2), n5(), m3()])
+        lat = product(data.draw(factors), data.draw(factors))
+    else:
+        p = data.draw(st.integers(1, 4))
+        names = [f"p{i}" for i in range(p)]
+        pairs = data.draw(st.sets(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))))
+        lat = downset_lattice(names, [(names[a], names[b]) for a, b in pairs if a < b])
+        assert lat.distributive
+    assert_matches_brute_force(lat)
 
 
 # -- standard constructions -------------------------------------------------
