@@ -144,10 +144,10 @@ _GRID_KINDS = {
     "join": lambda lat, n: _unary_maps(lat, n, lat._join_t),
     # [x]_c: coordinates below c drop to bottom; [x]^c: above c rise to top
     "below": lambda lat, n: _unary_maps(
-        lat, n, [[0 if le else d for d, le in enumerate(col)] for col in zip(*lat._leq)]
+        lat, n, [lat.truncation_row(c, "below") for c in range(lat.m)]
     ),
     "above": lambda lat, n: _unary_maps(
-        lat, n, [[lat.top_id if ge else d for d, ge in enumerate(row)] for row in lat._leq]
+        lat, n, [lat.truncation_row(c, "above") for c in range(lat.m)]
     ),
     "lines": _line_rows,
     "diagonals": _diagonal_rows,

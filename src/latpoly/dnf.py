@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .budget import ensure_budget, resolve_budget
+from .budget import ensure_budget
 from .errors import (
     ArityMismatchError,
-    BudgetExceededError,
     InvalidParamsError,
     LimitExceededError,
     NotDistributiveError,
@@ -74,15 +73,14 @@ def extract_alpha(f):
     n = f.arity
     if n > MAX_DNF_VARS:
         raise InvalidParamsError(f"arity {n} exceeds the subset-mask width {MAX_DNF_VARS}")
-    m = f.lattice.m
     top = f.lattice.top_id
+    encode = f.space.encode
     vals = f.values
-    coeffs = []
-    for mask in range(1 << n):
-        idx = 0
-        for k in range(n):
-            idx = idx * m + (top if mask >> k & 1 else 0)
-        coeffs.append(vals[idx])
+    # bit k of the mask is coordinate k+1 of the 0/1 point e_I
+    coeffs = [
+        vals[encode([top if mask >> k & 1 else 0 for k in range(n)])]
+        for mask in range(1 << n)
+    ]
     return DNFMap(f.lattice, n, coeffs)
 
 
@@ -172,7 +170,6 @@ def enumerate_dnf(f, mode="list", limit=None, budget=None):
     order = subset_masks(n)
     total = len(order)
     alpha_f = extract_alpha(f).coeffs
-    allowed = resolve_budget(budget)
     ops = 0
 
     by_mask = [0] * total
@@ -196,8 +193,7 @@ def enumerate_dnf(f, mode="list", limit=None, budget=None):
     while stack:
         pos = len(stack) - 1
         ops += m
-        if ops > allowed:
-            raise BudgetExceededError(ops, allowed, "normal-form enumeration")
+        ensure_budget(ops, budget, "normal-form enumeration")
         a = next(stack[-1], None)
         if a is None:
             stack.pop()

@@ -183,18 +183,17 @@ class FiniteLattice:
         ``below``: coordinates <= c collapse to bottom; ``above``:
         coordinates >= c collapse to top; all others are kept.
         """
-        ci = operator.index(c)
+        row = self.truncation_row(operator.index(c), direction)
+        return tuple(row[operator.index(d)] for d in point)
+
+    def truncation_row(self, c, direction):
+        """The digit map d -> [d]_c (``below``) or d -> [d]^c (``above``)
+        of coordinate truncation against the element id c, as a list."""
         leq = self._leq
         if direction == "below":
-            return tuple(
-                self.bottom_id if leq[operator.index(d)][ci] else operator.index(d)
-                for d in point
-            )
+            return [self.bottom_id if leq[d][c] else d for d in range(self.m)]
         if direction == "above":
-            return tuple(
-                self.top_id if leq[ci][operator.index(d)] else operator.index(d)
-                for d in point
-            )
+            return [self.top_id if leq[c][d] else d for d in range(self.m)]
         raise InvalidParamsError(f"direction must be 'below' or 'above', got {direction!r}")
 
     def upset_ids(self, v):

@@ -11,14 +11,13 @@ all condition checkers are cross-validated.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 from .budget import ensure_budget, resolve_budget
 from .conditions import check_condition, evaluate_all_conditions, grid_map
 from .dnf import MAX_DNF_VARS, DNFMap, dnf_evaluate
 from .errors import (
-    BudgetExceededError,
     InvalidParamsError,
     NotDistributiveError,
     NotNonDistributiveError,
@@ -160,36 +159,31 @@ def closure_polynomials(lattice, n, budget=None):
     cached = lattice._cache.get(key)
     if cached is not None:
         return cached
-    size = lattice.m ** n
     m = lattice.m
-    allowed = resolve_budget(budget)
+    size = m ** n
     ensure_budget(size * (n + m), budget, "clone generator construction")
-    sp = lattice.point_space(n)
+    strides = lattice.point_space(n).strides
 
-    tables = set()
-    for k in range(n):
-        tables.add(tuple(x[k] for x in sp.iter_points()))
-    for c in range(m):
-        tables.add((c,) * size)
-
+    # the known tables are also the worklist: the table at position p is
+    # met and joined with each table before it, so every pair is combined
+    # once (t ^ t = t v t = t), and new tables go to the end of the list
+    known = list(dict.fromkeys(
+        [tuple(i // s % m for i in range(size)) for s in strides]
+        + [(c,) * size for c in range(m)]
+    ))
+    seen = set(known)
     meet_t, join_t = lattice._meet_t, lattice._join_t
-    queue = deque(tables)
     ops = 0
-    while queue:
-        t = queue.popleft()
-        ops += 2 * size * len(tables)
-        if ops > allowed:
-            raise BudgetExceededError(ops, allowed, "clone closure")
-        for s in list(tables):
-            lo = tuple(meet_t[a][b] for a, b in zip(t, s))
-            if lo not in tables:
-                tables.add(lo)
-                queue.append(lo)
-            hi = tuple(join_t[a][b] for a, b in zip(t, s))
-            if hi not in tables:
-                tables.add(hi)
-                queue.append(hi)
-    result = FunctionSet(lattice, n, tables)
+    for p, t in enumerate(known):
+        ops += 2 * size * p
+        ensure_budget(ops, budget, "clone closure")
+        for s in islice(known, p):
+            for op in (meet_t, join_t):
+                u = tuple([op[a][b] for a, b in zip(t, s)])
+                if u not in seen:
+                    seen.add(u)
+                    known.append(u)
+    result = FunctionSet(lattice, n, known)
     lattice._cache[key] = result
     return result
 
@@ -213,7 +207,6 @@ def enumerate_polynomials_distributive(lattice, n, budget=None):
             f"subset enumeration supports 0..{MAX_DNF_VARS} positions, got {n}"
         )
     sp = lattice.point_space(n)
-    allowed = resolve_budget(budget)
     ops = 0
     out = FunctionSet(lattice, n)
     # coefficient masks in numeric order extend inclusion: each mask comes
@@ -222,8 +215,7 @@ def enumerate_polynomials_distributive(lattice, n, budget=None):
     for coeffs in _monotone_assignments(lattice, lower):
         alpha = DNFMap(lattice, n, coeffs)
         ops += sp.size * len(coeffs)
-        if ops > allowed:
-            raise BudgetExceededError(ops, allowed, "normal-form image enumeration")
+        ensure_budget(ops, budget, "normal-form image enumeration")
         out.add(tuple(dnf_evaluate(alpha, x) for x in sp.iter_points()))
     return out
 
@@ -341,7 +333,6 @@ def find_nondistributive_witness(lattice, n, condition, budget=None):
         raise NotNonDistributiveError(
             f"lattice {lattice.name!r} is distributive, so no witness can exist"
         )
-    allowed = resolve_budget(budget)
     closure = closure_polynomials(lattice, n, budget=budget)
     sp = lattice.point_space(n)
 
@@ -353,8 +344,7 @@ def find_nondistributive_witness(lattice, n, condition, budget=None):
     ops = 0
     for values in iter_monotone_tables(lattice, n):
         ops += sp.size * _COST_FACTOR
-        if ops > allowed:
-            raise BudgetExceededError(ops, allowed, "witness search")
+        ensure_budget(ops, budget, "witness search")
         if values in closure:
             continue
         f = FunctionTable(lattice, n, values)

@@ -1,8 +1,18 @@
+import contextlib
+import io
+import re
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latpoly import cli
 from latpoly.cli import main
 from latpoly.terms import MAX_TERM_DEPTH
+
+from conftest import CHAIN3_LAT, N5_LAT
 
 STEP_TBL = """\
 table 1
@@ -407,3 +417,106 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, chain3_f
     code = main(["verify", "--lattice", str(chain3_file), "--arity", "1"])
     assert code == 4
     assert capsys.readouterr().err == "error: internal error: RuntimeError: boom\n"
+
+
+# -- fuzzing -------------------------------------------------------------------
+
+FUZZ_LATTICES = [
+    CHAIN3_LAT,
+    N5_LAT,
+    "lattice B2\nelements: 0 a b 1\ncovers:\n0 < a\n0 < b\na < 1\nb < 1\n",
+    "lattice one\nelements: z\ncovers:\n",
+]
+FUZZ_TABLES = [
+    STEP_TBL,
+    "table 2\n0 0 -> 0\n0 1 -> 0\n1 0 -> 0\n1 1 -> 1\n",
+    "table 1\n0 -> a\na -> b\nb -> b\nc -> 1\n1 -> 1\n",
+]
+FUZZ_TERMS = ["x1", "med(x1, 'm', x2)", "(x1 ^ x2) v 'a'", "x2 | ('b' & x1)", "'1'"]
+FUZZ_TOKENS = ["x1", "x0", "x3", "'m'", "'q'", "(", ")", "^", "v", "<", "->", "table", "#", ":", "-1"]
+COMMANDS = ("check", "normalize", "equiv", "dnf-count", "verify", "witness")
+
+
+def pick(draw, good, bad):
+    """A value from `good`, or one time in six from `bad`."""
+    return draw(st.sampled_from(good if draw(st.integers(0, 5)) else bad))
+
+
+@st.composite
+def mangled(draw, valid, sep):
+    """A valid text, or one with its pieces shuffled, dropped or salted with
+    a stray token, or random text; pieces are lines (sep "\n") or tokens."""
+    text = draw(st.sampled_from(valid))
+    how = pick(draw, ["valid"], ["shuffle", "drop", "stray", "random"])
+    if how == "random":
+        return draw(st.text(max_size=40))
+    pieces = text.splitlines() if sep == "\n" else re.findall(r"'[^']*'|\w+|\S", text)
+    if how == "shuffle":
+        pieces = draw(st.permutations(pieces))
+    elif how == "drop":
+        pieces = [p for p in pieces if draw(st.booleans())]
+    elif how == "stray" and pieces:
+        at = draw(st.integers(0, len(pieces) - 1))
+        pieces = list(pieces)
+        pieces[at] = f"{pieces[at]} {draw(st.sampled_from(FUZZ_TOKENS))}"
+    return sep.join(pieces) + ("\n" if sep == "\n" else "")
+
+
+@st.composite
+def invocations(draw):
+    """argv for one command, and the lattice and table texts it reads;
+    options of other commands and malformed values are usage errors, so
+    they are drawn less often."""
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command, "--lattice", "LATTICE"]
+    argv += ["--arity", pick(draw, ["1", "2"], ["0", "two", "99999"])]
+    # the default budget is drawn rarely: a refused closure spends all of it
+    budget = pick(draw, ["1", "1000", "100000"], ["0", "many", None])
+    if budget is not None:
+        argv += ["--budget", budget]
+    if command == "check" or not draw(st.integers(0, 5)):
+        if draw(st.booleans()):
+            argv += ["--conditions", pick(draw, ["ii", "iv,vi", "iii,v"], ["", "vii", "ii,,iii"])]
+        if draw(st.booleans()):
+            argv += ["--scope", pick(draw, ["interval", "all"], ["none"])]
+    if (command == "dnf-count" or not draw(st.integers(0, 5))) and draw(st.booleans()):
+        argv += ["--limit", pick(draw, ["1", "3"], ["0", "x"])]
+    if command in ("check", "dnf-count") and draw(st.booleans()):
+        argv += ["--table", "TABLE"]
+    else:
+        terms = {"equiv": 2, "verify": 0, "witness": 0}.get(command, 1)
+        for _ in range(pick(draw, [terms], [0, terms + 1])):
+            argv += ["--term", draw(mangled(FUZZ_TERMS, " "))]
+    lattice = draw(mangled(FUZZ_LATTICES, "\n"))
+    table = draw(mangled(FUZZ_TABLES, "\n"))
+    return argv, lattice, table
+
+
+@given(invocations())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_invocations_end_in_a_documented_exit_code(invocation):
+    argv, lattice, table = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"LATTICE": Path(tmp, "l.lat"), "TABLE": Path(tmp, "f.tbl")}
+        paths["LATTICE"].write_text(lattice, encoding="utf-8")
+        paths["TABLE"].write_text(table, encoding="utf-8")
+        argv = [str(paths.get(a, a)) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), (code, err)
+    assert "Traceback" not in out + err
+    if code in (2, 3) and "usage:" not in err:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_verify_one_element_lattice_at_huge_arity(capsys, tmp_path):
+    # its |L|^n is 1, so only the arity bounds the work; the closure's
+    # projections are built in O(n), not from n-tuples of points
+    lat = tmp_path / "one.lat"
+    lat.write_text(FUZZ_LATTICES[-1])
+    assert main(["verify", "--lattice", str(lat), "--arity", "99999"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: diagonal preservation scan needs about 10^30102 ")
+    assert err.count("\n") == 1

@@ -1,12 +1,20 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latpoly import (
     FunctionTable,
+    boolean,
+    build_from_covers,
     chain,
+    downset_lattice,
+    m3,
     n5,
+    product,
     check_condition,
     closure_polynomials,
     count_monotone_tables,
@@ -42,6 +50,24 @@ def brute_monotone_tables(lat, n):
         if ok:
             out.append(values)
     return out
+
+
+def naive_closure(lat, n):
+    """Pop each table and pair it with every known one, both ways round;
+    the slow reference for closure_polynomials, from the definition."""
+    points = list(itertools.product(range(lat.m), repeat=n))
+    tables = {tuple(x[k] for x in points) for k in range(n)}
+    tables |= {(c,) * len(points) for c in range(lat.m)}
+    queue = deque(tables)
+    while queue:
+        t = queue.popleft()
+        for s in list(tables):
+            for op in (lat.meet, lat.join):
+                u = tuple(op(a, b) for a, b in zip(t, s))
+                if u not in tables:
+                    tables.add(u)
+                    queue.append(u)
+    return frozenset(tables)
 
 
 def med_form_tables(lat):
@@ -127,6 +153,70 @@ def test_pentagon_closure_strictly_exceeds_med_forms(pentagon):
     med_forms = med_form_tables(pentagon)
     assert med_forms <= cl.value_tuples()
     assert len(cl) > len(med_forms)
+
+
+CLOSURE_LATTICES = {
+    "chain2": lambda: chain(2),
+    "chain3": lambda: chain(3),
+    "B2": lambda: boolean(2),
+    "N5": n5,
+    "M3": m3,
+    "one": lambda: build_from_covers("one", ["z"], []),
+}
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [("chain2", n) for n in range(4)]
+    + [("chain3", n) for n in range(3)]
+    + [("B2", 1), ("B2", 2), ("N5", 1), ("M3", 1)]
+    + [("one", n) for n in range(3)],
+)
+def test_closure_matches_naive_closure(name, n):
+    lat = CLOSURE_LATTICES[name]()
+    assert closure_polynomials(lat, n).value_tuples() == naive_closure(lat, n)
+
+
+# factor pairs with products of at most 12 elements; M3 x chain2 alone has
+# 534 unary polynomials, too many for the naive reference in a drawn test
+SMALL_FACTOR_PAIRS = [
+    (a, b)
+    for a, b in itertools.product([chain(2), chain(3), boolean(2), n5()], repeat=2)
+    if a.m * b.m <= 12
+]
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_closure_matches_naive_closure_on_drawn_lattices(data):
+    if data.draw(st.booleans()):
+        lat = product(*data.draw(st.sampled_from(SMALL_FACTOR_PAIRS)))
+    else:
+        p = data.draw(st.integers(1, 4))
+        names = [f"p{i}" for i in range(p)]
+        pairs = data.draw(st.sets(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))))
+        lat = downset_lattice(names, [(names[a], names[b]) for a, b in pairs if a < b])
+    assert closure_polynomials(lat, 1).value_tuples() == naive_closure(lat, 1)
+
+
+def test_closure_of_one_element_lattice_at_huge_arity():
+    # the projections are built from the strides, not from n-tuples of points
+    lat = CLOSURE_LATTICES["one"]()
+    assert closure_polynomials(lat, 99_999).value_tuples() == {(0,)}
+
+
+@pytest.mark.parametrize("name, polys", [("chain3", 6), ("M3", 178)])
+def test_closure_charges_each_pair_once(name, polys):
+    # position p costs 2 * |L|^n * p evaluations: |L|^n * N * (N - 1) in all
+    lat = CLOSURE_LATTICES[name]()
+    charge = lat.m * polys * (polys - 1)
+    with pytest.raises(
+        BudgetExceededError,
+        match=f"^clone closure needs {charge} point evaluations "
+        f"but the budget allows {charge - 1}$",
+    ):
+        closure_polynomials(lat, 1, budget=charge - 1)
+    assert len(closure_polynomials(lat, 1, budget=charge)) == polys
 
 
 # -- normal-form enumeration vs closure ---------------------------------------
