@@ -446,9 +446,9 @@ def _designated_polynomial_test(f, budget=None):
     if lat.distributive:
         ok, _ = reconstruct(f, budget=budget)
         return ok
-    from .oracle import closure_polynomials  # deferred: oracle imports us
+    from .oracle import _closure_values  # deferred: oracle imports us
 
-    return f.values in closure_polynomials(lat, f.arity, budget=budget)
+    return f.values in _closure_values(lat, f.arity, budget)
 
 
 def evaluate_all_conditions(f, budget=None, known_polynomial=None, scope="interval"):

@@ -125,8 +125,8 @@ def dnf_membership(alpha, f, budget=None):
     lat = f.lattice
     n = f.arity
     if lat.distributive:
-        is_poly, _ = reconstruct(f, budget=budget)
-        if is_poly:
+        alpha_f, bad = _reconstruction(f, budget)
+        if bad is None:
             join_t = lat._join_t
             acc = list(alpha.coeffs)
             for k in range(n):
@@ -134,7 +134,7 @@ def dnf_membership(alpha, f, budget=None):
                 for mask in range(1 << n):
                     if mask & bit:
                         acc[mask] = join_t[acc[mask]][acc[mask ^ bit]]
-            return tuple(acc) == extract_alpha(f).coeffs
+            return tuple(acc) == alpha_f.coeffs
     sp = lat.point_space(n)
     ensure_budget(sp.size, budget, "pointwise normal-form comparison")
     vals = f.values
@@ -222,6 +222,13 @@ def reconstruct(f, budget=None):
     everywhere, else (False, first_disagreeing_point).  Sound and complete
     as a polynomiality test only on distributive lattices, hence the guard.
     """
+    _, bad = _reconstruction(f, budget)
+    return bad is None, bad
+
+
+def _reconstruction(f, budget):
+    """alpha_f, and the first point where its normal form differs from f
+    (None when there is none)."""
     lat = f.lattice
     if not lat.distributive:
         raise NotDistributiveError(
@@ -234,8 +241,8 @@ def reconstruct(f, budget=None):
     vals = f.values
     for i, x in enumerate(sp.iter_points()):
         if dnf_evaluate(alpha, x) != vals[i]:
-            return False, tuple(x)
-    return True, None
+            return alpha, tuple(x)
+    return alpha, None
 
 
 def equivalent(lattice, t1, t2, arity, budget=None):

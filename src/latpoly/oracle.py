@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
 
 from .budget import ensure_budget, resolve_budget
 from .conditions import check_condition, evaluate_all_conditions, grid_map
@@ -155,6 +154,15 @@ def random_monotone_table(lattice, n, rng):
 def closure_polynomials(lattice, n, budget=None):
     """All polynomial functions L^n -> L, by closing the projections and
     constants under pointwise meet and join.  Valid on any lattice."""
+    return FunctionSet(lattice, n, _closure_values(lattice, n, budget))
+
+
+def _closure_values(lattice, n, budget):
+    """The value tuples of closure_polynomials, computed once per arity.
+
+    The lattice's cache keeps only this frozenset of tuples, nothing that
+    refers back to the lattice, so a dropped lattice is freed at once.
+    """
     key = ("closure", n)
     cached = lattice._cache.get(key)
     if cached is not None:
@@ -164,27 +172,53 @@ def closure_polynomials(lattice, n, budget=None):
     ensure_budget(size * (n + m), budget, "clone generator construction")
     strides = lattice.point_space(n).strides
 
+    # bit planes: up(t) has a plane for each join-irreducible j (one lower
+    # cover), set at the points x where j <= t[x], and down(t) one for each
+    # meet-irreducible a, set where t[x] <= a.  Each determines t, as every
+    # element is the join of the join-irreducibles below it and the meet of
+    # the meet-irreducibles above it, and in any lattice
+    # up(t ^ s) = up(t) & up(s) and down(t v s) = down(t) & down(s).  With k
+    # planes, point x holds the bits x*k .. x*k+k-1; a one-element lattice,
+    # with no irreducibles, keeps the plane of its bottom
+    leq, covers_down, covers_up = lattice._leq, lattice.covers_down, lattice.covers_up
+    joins = [j for j in range(m) if len(covers_down[j]) == 1] or [0]
+    meets = [a for a in range(m) if len(covers_up[a]) == 1] or [0]
+    up_cols = ["".join("01"[leq[j][v]] for j in joins) for v in range(m)]
+    down_cols = ["".join("01"[leq[v][a]] for a in meets) for v in range(m)]
+
+    def pack(t, cols):
+        return int("".join(map(cols.__getitem__, reversed(t))), 2)
+
     # the known tables are also the worklist: the table at position p is
     # met and joined with each table before it, so every pair is combined
-    # once (t ^ t = t v t = t), and new tables go to the end of the list
+    # once (t ^ t = t v t = t), and new tables go to the end of the lists
     known = list(dict.fromkeys(
         [tuple(i // s % m for i in range(size)) for s in strides]
         + [(c,) * size for c in range(m)]
     ))
-    seen = set(known)
+    ups = [pack(t, up_cols) for t in known]
+    downs = [pack(t, down_cols) for t in known]
+    seen_up, seen_down = set(ups), set(downs)
+
+    def add(u):
+        known.append(u)
+        ups.append(pack(u, up_cols))
+        downs.append(pack(u, down_cols))
+        seen_up.add(ups[-1])
+        seen_down.add(downs[-1])
+
     meet_t, join_t = lattice._meet_t, lattice._join_t
     ops = 0
     for p, t in enumerate(known):
         ops += 2 * size * p
         ensure_budget(ops, budget, "clone closure")
-        for s in islice(known, p):
-            for op in (meet_t, join_t):
-                u = tuple([op[a][b] for a, b in zip(t, s)])
-                if u not in seen:
-                    seen.add(u)
-                    known.append(u)
-    result = FunctionSet(lattice, n, known)
-    lattice._cache[key] = result
+        up_t, down_t = ups[p], downs[p]
+        for s, up_s, down_s in zip(known[:p], ups[:p], downs[:p]):
+            if up_t & up_s not in seen_up:
+                add(tuple([meet_t[a][b] for a, b in zip(t, s)]))
+            if down_t & down_s not in seen_down:
+                add(tuple([join_t[a][b] for a, b in zip(t, s)]))
+    result = lattice._cache[key] = frozenset(known)
     return result
 
 
@@ -267,7 +301,7 @@ def verify_equivalence(lattice, n, budget=None, seed=0, max_sample=1000):
     inconsistency list as a failure.
     """
     allowed = resolve_budget(budget)
-    closure = closure_polynomials(lattice, n, budget=budget)
+    closure = _closure_values(lattice, n, budget)
     sp = lattice.point_space(n)
     max_tables = max(1, allowed // (sp.size * _COST_FACTOR))
     total = count_monotone_tables(lattice, n, stop_after=max_tables)
@@ -333,10 +367,11 @@ def find_nondistributive_witness(lattice, n, condition, budget=None):
         raise NotNonDistributiveError(
             f"lattice {lattice.name!r} is distributive, so no witness can exist"
         )
-    closure = closure_polynomials(lattice, n, budget=budget)
+    closure = _closure_values(lattice, n, budget)
     sp = lattice.point_space(n)
 
-    for f in closure:
+    for values in sorted(closure):
+        f = FunctionTable(lattice, n, values)
         ok, witness = check_condition(f, condition, budget=budget)
         if not ok:
             return NondistributiveWitness(condition, "polynomial-violates", f, witness)

@@ -132,6 +132,19 @@ def test_membership_two_paths_agree(b2):
         assert dnf_membership(alpha, f) == definitional
 
 
+def test_membership_extracts_alpha_once(b2, monkeypatch):
+    import latpoly.dnf as dnf
+
+    calls = []
+    monkeypatch.setattr(dnf, "extract_alpha", lambda f: calls.append(f) or extract_alpha(f))
+    f = materialize(b2, parse_term("x1 & 'a' | x2", b2, 2), 2)
+    assert dnf_membership(extract_alpha(f), f)
+    assert calls == [f]
+    # the budget still covers the reconstruction first, with its own text
+    with pytest.raises(BudgetExceededError, match="^normal-form reconstruction needs 20 "):
+        dnf_membership(extract_alpha(f), f, budget=19)
+
+
 # -- enumeration ------------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from collections import deque
 
 import pytest
@@ -19,6 +21,7 @@ from latpoly import (
     closure_polynomials,
     count_monotone_tables,
     enumerate_polynomials_distributive,
+    evaluate_all_conditions,
     find_nondistributive_witness,
     is_order_preserving,
     iter_monotone_tables,
@@ -162,7 +165,22 @@ CLOSURE_LATTICES = {
     "N5": n5,
     "M3": m3,
     "one": lambda: build_from_covers("one", ["z"], []),
+    "M4": lambda: build_from_covers(
+        "M4", ["0", "a", "b", "c", "d", "1"], [("0", a) for a in "abcd"] + [(a, "1") for a in "abcd"]
+    ),
 }
+
+# N5 n=2 is charged 347,542,800 evaluations and M4 n=1 12,260,820, both
+# past the default budget
+LIFTED_BUDGET = 10**11
+
+
+@pytest.fixture(scope="module")
+def pentagon_binary():
+    """N5 with its 3,729 binary polynomials computed and cached."""
+    lat = n5()
+    closure_polynomials(lat, 2, budget=LIFTED_BUDGET)
+    return lat
 
 
 @pytest.mark.parametrize(
@@ -217,6 +235,36 @@ def test_closure_charges_each_pair_once(name, polys):
     ):
         closure_polynomials(lat, 1, budget=charge - 1)
     assert len(closure_polynomials(lat, 1, budget=charge)) == polys
+
+
+def test_closure_sizes_past_the_default_budget(pentagon_binary):
+    assert len(closure_polynomials(CLOSURE_LATTICES["M4"](), 1, budget=LIFTED_BUDGET)) == 1_430
+    assert len(closure_polynomials(pentagon_binary, 2)) == 3_729
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda lat: closure_polynomials(lat, 1),
+        lambda lat: verify_equivalence(lat, 1),
+        lambda lat: find_nondistributive_witness(lat, 1, "iv"),
+        lambda lat: evaluate_all_conditions(FunctionTable(lat, 1, range(lat.m))),
+    ],
+    ids=["closure", "verify", "witness", "evaluate"],
+)
+def test_dropped_lattice_is_freed_by_reference_counting(search):
+    # the cached closure holds value tuples, nothing that refers back to
+    # the lattice, so no reference cycle waits for the cycle collector
+    lat = n5()
+    ref = weakref.ref(lat)
+    gc.disable()
+    try:
+        search(lat)
+        assert ("closure", 1) in lat._cache
+        del lat
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- normal-form enumeration vs closure ---------------------------------------
@@ -323,6 +371,14 @@ def test_diamond_yields_some_witness(diamond):
             assert is_poly and not ok
         else:
             assert not is_poly and ok
+
+
+@pytest.mark.parametrize("cond", ["iii", "iv", "v", "vi"])
+def test_pentagon_binary_witnesses(pentagon_binary, cond):
+    found = find_nondistributive_witness(pentagon_binary, 2, cond, budget=LIFTED_BUDGET)
+    assert found.direction == "polynomial-violates"
+    assert not check_condition(found.table, cond)[0]
+    assert found.table.values in closure_polynomials(pentagon_binary, 2)
 
 
 def test_witness_search_rejects_distributive(chain4):
