@@ -150,6 +150,13 @@ _GRID_KINDS = {
         lat, n, [lat.truncation_row(c, "above") for c in range(lat.m)]
     ),
     "lines": _line_rows,
+    # (i, k, j): the point at index j is the point at index i with
+    # coordinate k raised to an upper cover; in the order of the lines
+    "covers": lambda lat, n: tuple(
+        (i, k, i0 + c * s)
+        for i, k, xk, i0, s in grid_map(lat, n, "lines")
+        for c in lat.covers_up[xk]
+    ),
     "diagonals": _diagonal_rows,
 }
 
@@ -164,12 +171,10 @@ def is_order_preserving(f, budget=None):
     n = f.arity
     vals = f.values
     ensure_budget(len(vals) * max(n, 1), budget, "monotonicity scan")
-    leq, covers_up = lat._leq, lat.covers_up
-    for i, k, xk, i0, s in grid_map(lat, n, "lines"):
-        below = leq[vals[i]]
-        for c in covers_up[xk]:
-            if not below[vals[i0 + c * s]]:
-                return False, Witness(x=lat.point_space(n).decode(i), k=k + 1)
+    leq = lat._leq
+    for i, k, j in grid_map(lat, n, "covers"):
+        if not leq[vals[i]][vals[j]]:
+            return False, Witness(x=lat.point_space(n).decode(i), k=k + 1)
     return True, None
 
 
@@ -458,7 +463,12 @@ def evaluate_all_conditions(f, budget=None, known_polynomial=None, scope="interv
     interval may be ill-formed otherwise) and are marked as skipped when
     the hypothesis fails; ii is hypothesis-free.  `known_polynomial`
     short-circuits the polynomiality test when the caller already knows it.
+    That test runs first, so its arity rule precedes every budget charge.
     """
+    if known_polynomial is None:
+        polynomial = _designated_polynomial_test(f, budget=budget)
+    else:
+        polynomial = bool(known_polynomial)
     op_ok, op_w = is_order_preserving(f, budget=budget)
     memo = {}
     entries = {}
@@ -470,10 +480,6 @@ def evaluate_all_conditions(f, budget=None, known_polynomial=None, scope="interv
             entries[cond] = ConditionEntry(ok, w)
         else:
             entries[cond] = ConditionEntry(None, None)
-    if known_polynomial is None:
-        polynomial = _designated_polynomial_test(f, budget=budget)
-    else:
-        polynomial = bool(known_polynomial)
     verdicts = {e.holds for e in entries.values() if e.holds is not None}
     verdicts.add(polynomial)
     return ConditionReport(

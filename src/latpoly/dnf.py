@@ -11,12 +11,21 @@ function f is alpha_f(I) = f(e_I), where e_I is the 0/1 characteristic
 vector of I; on a distributive lattice a function equals the normal form
 of its own alpha_f exactly when it is a polynomial function, which makes
 that round trip the designated polynomiality test here.
+
+The representations of a polynomial f on a distributive lattice are the
+maps alpha with alpha^- <= alpha <= alpha_f pointwise, where alpha^-(I)
+joins the join-irreducibles j for which I is a minimal subset with
+j <= alpha_f(I).  The coefficient at each subset is chosen independently
+of the others, so the representations are the Cartesian product of these
+per-subset intervals, and counting them is a product with no enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice, product
+from math import prod
 
 from .budget import ensure_budget
 from .errors import (
@@ -33,7 +42,10 @@ MAX_DNF_VARS = 20
 
 @lru_cache(maxsize=None)
 def subset_masks(n):
-    """All bitmasks over n positions, increasing cardinality then numeric."""
+    """All bitmasks over n positions, increasing cardinality then numeric.
+
+    This is the one arity rule for work over subsets of the positions:
+    each such function calls it before charging the budget."""
     if n < 0 or n > MAX_DNF_VARS:
         raise InvalidParamsError(
             f"subset enumeration supports 0..{MAX_DNF_VARS} positions, got {n}"
@@ -58,8 +70,7 @@ class DNFMap:
     coeffs: tuple
 
     def __post_init__(self):
-        if self.arity < 0 or self.arity > MAX_DNF_VARS:
-            raise InvalidParamsError(f"arity {self.arity} outside 0..{MAX_DNF_VARS}")
+        subset_masks(self.arity)  # the arity rule: raises past the mask width
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if len(self.coeffs) != 1 << self.arity:
             raise ArityMismatchError(
@@ -71,8 +82,7 @@ class DNFMap:
 def extract_alpha(f):
     """The canonical coefficient map I -> f(e_I); defined for any table."""
     n = f.arity
-    if n > MAX_DNF_VARS:
-        raise InvalidParamsError(f"arity {n} exceeds the subset-mask width {MAX_DNF_VARS}")
+    subset_masks(n)  # the arity rule: raises past the mask width
     top = f.lattice.top_id
     encode = f.space.encode
     vals = f.values
@@ -115,27 +125,18 @@ def dnf_evaluate(alpha, point):
 def dnf_membership(alpha, f, budget=None):
     """Does the normal form of `alpha` denote exactly `f`?
 
-    On a distributive lattice with polynomial f this is decided from the
-    0/1 points alone: the running joins V_{J subseteq I} alpha(J) must
-    reproduce alpha_f.  Otherwise it falls back to the definitional
-    pointwise comparison.
+    On a distributive lattice this is decided from the 0/1 points alone:
+    every coefficient of alpha must lie in the choice set of its subset,
+    and a function that is not polynomial has no normal form at all.
+    Otherwise it falls back to the definitional pointwise comparison.
     """
     if alpha.lattice is not f.lattice or alpha.arity != f.arity:
         raise ArityMismatchError("coefficient map and table do not match")
     lat = f.lattice
-    n = f.arity
     if lat.distributive:
-        alpha_f, bad = _reconstruction(f, budget)
-        if bad is None:
-            join_t = lat._join_t
-            acc = list(alpha.coeffs)
-            for k in range(n):
-                bit = 1 << k
-                for mask in range(1 << n):
-                    if mask & bit:
-                        acc[mask] = join_t[acc[mask]][acc[mask ^ bit]]
-            return tuple(acc) == alpha_f.coeffs
-    sp = lat.point_space(n)
+        choices = _choices(f, budget)
+        return choices is not None and all(a in c for a, c in zip(alpha.coeffs, choices))
+    sp = lat.point_space(f.arity)
     ensure_budget(sp.size, budget, "pointwise normal-form comparison")
     vals = f.values
     for i, x in enumerate(sp.iter_points()):
@@ -147,72 +148,66 @@ def dnf_membership(alpha, f, budget=None):
 def enumerate_dnf(f, mode="list", limit=None, budget=None):
     """All coefficient maps whose normal form denotes `f`.
 
-    Depth-first over subsets in increasing-cardinality order; at subset I
-    the admissible coefficients are the solutions a of
-    a v (join of the already-chosen coefficients of strict subsets) =
-    alpha_f(I).  Every leaf denotes f and every representation is reached
-    exactly once.  mode='count' returns the count (raising
-    LimitExceededError past `limit`); mode='list' returns up to `limit`
-    DNFMaps.
+    The representations are the product of the choice sets of the
+    subsets, so mode='count' multiplies their sizes without enumerating
+    (raising LimitExceededError past `limit`), and mode='list' returns up
+    to `limit` DNFMaps in lexicographic order: subsets in subset_masks
+    order, and ascending ids at each subset.
     """
     if mode not in ("count", "list"):
         raise InvalidParamsError(f"mode must be 'count' or 'list', got {mode!r}")
-    is_poly, _ = reconstruct(f, budget=budget)
-    if not is_poly:
+    choices = _choices(f, budget)
+    if choices is None:
         raise NotPolynomialError(
             "the function has no normal-form representation; "
             "it is not a polynomial function"
         )
-    lat = f.lattice
+    count = prod(map(len, choices))
+    if limit is not None and count > limit:
+        if mode == "count":
+            raise LimitExceededError(
+                f"more than {limit} normal forms exist", lower_bound=limit + 1
+            )
+        count = limit
+    if mode == "count":
+        return count
     n = f.arity
-    m = lat.m
-    join_t = lat._join_t
+    ensure_budget(count << n, budget, "normal-form enumeration")
     order = subset_masks(n)
-    total = len(order)
-    alpha_f = extract_alpha(f).coeffs
-    ops = 0
+    # the position of each mask in subset_masks order
+    where = sorted(range(len(order)), key=order.__getitem__)
+    combos = islice(product(*(choices[mask] for mask in order)), count)
+    return [DNFMap(f.lattice, n, [combo[p] for p in where]) for combo in combos]
 
-    by_mask = [0] * total
 
-    def candidates(pos):
-        mask = order[pos]
-        beta = 0
-        if mask:
-            s = (mask - 1) & mask
-            while True:
-                beta = join_t[beta][by_mask[s]]
-                if s == 0:
-                    break
-                s = (s - 1) & mask
-        target = alpha_f[mask]
-        return [a for a in range(m) if join_t[a][beta] == target]
+def _choices(f, budget):
+    """Per subset mask I, the ids a with a v beta(I) = alpha_f(I); None
+    when f is not polynomial.
 
-    count = 0
-    members = []
-    stack = [iter(candidates(0))]
-    while stack:
-        pos = len(stack) - 1
-        ops += m
-        ensure_budget(ops, budget, "normal-form enumeration")
-        a = next(stack[-1], None)
-        if a is None:
-            stack.pop()
-            continue
-        by_mask[order[pos]] = a
-        if pos + 1 == total:
-            if mode == "count":
-                count += 1
-                if limit is not None and count > limit:
-                    raise LimitExceededError(
-                        f"more than {limit} normal forms exist", lower_bound=count
-                    )
-            else:
-                members.append(DNFMap(lat, n, tuple(by_mask)))
-                if limit is not None and len(members) >= limit:
-                    return members
-        else:
-            stack.append(iter(candidates(pos + 1)))
-    return count if mode == "count" else members
+    alpha denotes f exactly when alpha(I) v (join of alpha over the strict
+    subsets of I) = alpha_f(I) at every I.  By induction on |I| that join
+    is beta(I), the join of alpha_f over the strict subsets, whatever was
+    chosen below, so each choice is independent.  f is monotone, so beta(I)
+    joins alpha_f(I - {k}) over k in I."""
+    alpha_f, bad = _reconstruction(f, budget)
+    if bad is not None:
+        return None
+    lat = f.lattice
+    m = lat.m
+    ensure_budget((1 << f.arity) * m, budget, "normal-form enumeration")
+    join_t = lat._join_t
+    coeffs = alpha_f.coeffs
+    choices = []
+    for mask, target in enumerate(coeffs):
+        beta = lat.bottom_id
+        b = mask
+        while b:
+            low = b & -b
+            beta = join_t[beta][coeffs[mask ^ low]]
+            b ^= low
+        row = join_t[beta]
+        choices.append(tuple(a for a in range(m) if row[a] == target))
+    return choices
 
 
 def reconstruct(f, budget=None):
@@ -235,6 +230,7 @@ def _reconstruction(f, budget):
             "0/1 reconstruction is only a valid polynomiality test on "
             "distributive lattices; use the closure oracle instead"
         )
+    subset_masks(f.arity)  # the arity rule comes before the budget
     sp = lat.point_space(f.arity)
     ensure_budget(sp.size + (1 << f.arity), budget, "normal-form reconstruction")
     alpha = extract_alpha(f)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .budget import ensure_budget, resolve_budget
 from .conditions import check_condition, evaluate_all_conditions, grid_map
-from .dnf import MAX_DNF_VARS, DNFMap, dnf_evaluate
+from .dnf import DNFMap, dnf_evaluate, subset_masks
 from .errors import (
     InvalidParamsError,
     NotDistributiveError,
@@ -78,10 +78,9 @@ class FunctionSet:
 
 def _point_lower_covers(lattice, n):
     """For each grid index, the indices covered by it in the product order."""
-    covers_down = lattice.covers_down
     out = [[] for _ in range(lattice.m ** n)]
-    for i, _, xk, i0, s in grid_map(lattice, n, "lines"):
-        out[i].extend(i0 + c * s for c in covers_down[xk])
+    for i, _, j in grid_map(lattice, n, "covers"):
+        out[j].append(i)
     return out
 
 
@@ -236,10 +235,7 @@ def enumerate_polynomials_distributive(lattice, n, budget=None):
             "normal-form enumeration of polynomial functions needs a "
             "distributive lattice"
         )
-    if n > MAX_DNF_VARS:
-        raise InvalidParamsError(
-            f"subset enumeration supports 0..{MAX_DNF_VARS} positions, got {n}"
-        )
+    subset_masks(n)  # the arity rule comes before the budget
     sp = lattice.point_space(n)
     ops = 0
     out = FunctionSet(lattice, n)

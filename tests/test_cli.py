@@ -520,3 +520,22 @@ def test_verify_one_element_lattice_at_huge_arity(capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error: diagonal preservation scan needs about 10^30102 ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check", "dnf-count"])
+@pytest.mark.parametrize("arity", ["21", "24"])
+def test_subset_mask_width_is_checked_before_the_budget(capsys, tmp_path, command, arity):
+    # on a one-element lattice only the 2^n subset masks grow with the arity;
+    # at 24 the diagonal scan (2^24 evaluations) would be over the budget
+    lat = tmp_path / "one.lat"
+    lat.write_text(FUZZ_LATTICES[-1])
+    assert main([command, "--lattice", str(lat), "--arity", arity, "--term", "x1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: subset enumeration supports 0..20 positions, got {arity}\n"
+
+
+def test_check_at_the_subset_mask_width(capsys, tmp_path):
+    lat = tmp_path / "one.lat"
+    lat.write_text(FUZZ_LATTICES[-1])
+    assert main(["check", "--lattice", str(lat), "--arity", "20", "--term", "x1"]) == 0
+    assert capsys.readouterr().out.startswith("polynomial: PASS\n")

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,10 +10,14 @@ from hypothesis import strategies as st
 
 from latpoly import (
     DNFMap,
+    boolean,
+    chain,
+    closure_polynomials,
     dnf_evaluate,
     dnf_membership,
     dnf_to_lines,
     dnf_to_term,
+    downset_lattice,
     enumerate_dnf,
     equivalent,
     extract_alpha,
@@ -17,10 +25,14 @@ from latpoly import (
     materialize,
     n5,
     parse_term,
+    product,
     random_term,
     reconstruct,
     subset_masks,
 )
+from latpoly.budget import ensure_budget
+from latpoly.cli import main
+from latpoly.dnf import _choices
 from latpoly.errors import (
     BudgetExceededError,
     InvalidParamsError,
@@ -196,6 +208,177 @@ def test_every_member_denotes_f_and_sits_below_alpha_f(b2):
                 b2.leq(alpha.coeffs[mask], alpha_f.coeffs[mask])
                 for mask in range(4)
             )
+
+
+# -- the product form against the search it replaced ---------------------------
+
+
+def naive_enumerate_dnf(f, mode="list", limit=None, budget=None):
+    """All coefficient maps whose normal form denotes `f`, by search.
+
+    Depth-first over subsets in increasing-cardinality order; at subset I
+    the admissible coefficients are the solutions a of
+    a v (join of the already-chosen coefficients of strict subsets) =
+    alpha_f(I).  Every leaf denotes f and every representation is reached
+    exactly once.  mode='count' returns the count (raising
+    LimitExceededError past `limit`); mode='list' returns up to `limit`
+    DNFMaps.
+    """
+    if mode not in ("count", "list"):
+        raise InvalidParamsError(f"mode must be 'count' or 'list', got {mode!r}")
+    is_poly, _ = reconstruct(f, budget=budget)
+    if not is_poly:
+        raise NotPolynomialError(
+            "the function has no normal-form representation; "
+            "it is not a polynomial function"
+        )
+    lat = f.lattice
+    n = f.arity
+    m = lat.m
+    join_t = lat._join_t
+    order = subset_masks(n)
+    total = len(order)
+    alpha_f = extract_alpha(f).coeffs
+    ops = 0
+
+    by_mask = [0] * total
+
+    def candidates(pos):
+        mask = order[pos]
+        beta = 0
+        if mask:
+            s = (mask - 1) & mask
+            while True:
+                beta = join_t[beta][by_mask[s]]
+                if s == 0:
+                    break
+                s = (s - 1) & mask
+        target = alpha_f[mask]
+        return [a for a in range(m) if join_t[a][beta] == target]
+
+    count = 0
+    members = []
+    stack = [iter(candidates(0))]
+    while stack:
+        pos = len(stack) - 1
+        ops += m
+        ensure_budget(ops, budget, "normal-form enumeration")
+        a = next(stack[-1], None)
+        if a is None:
+            stack.pop()
+            continue
+        by_mask[order[pos]] = a
+        if pos + 1 == total:
+            if mode == "count":
+                count += 1
+                if limit is not None and count > limit:
+                    raise LimitExceededError(
+                        f"more than {limit} normal forms exist", lower_bound=count
+                    )
+            else:
+                members.append(DNFMap(lat, n, tuple(by_mask)))
+                if limit is not None and len(members) >= limit:
+                    return members
+        else:
+            stack.append(iter(candidates(pos + 1)))
+    return count if mode == "count" else members
+
+
+
+def downsets_of_n():
+    """The downset lattice of the four-element zigzag poset N."""
+    return downset_lattice(["a", "b", "c", "d"], [("a", "c"), ("b", "c"), ("b", "d")])
+
+
+# 1,128 polynomial functions in all; the B2 n=3 closure needs 10,010,880
+# evaluations, past the default budget
+PRODUCT_FIXTURES = [
+    pytest.param(make, n, id=f"{name} n={n}")
+    for name, make, n in [
+        ("chain3", lambda: chain(3), 1),
+        ("chain3", lambda: chain(3), 2),
+        ("chain3", lambda: chain(3), 3),
+        ("chain4", lambda: chain(4), 2),
+        ("B2", lambda: boolean(2), 1),
+        ("B2", lambda: boolean(2), 2),
+        ("B2", lambda: boolean(2), 3),
+        ("B3", lambda: boolean(3), 1),
+        ("chain3xB2", lambda: product(chain(3), boolean(2)), 1),
+        ("downsetsN", downsets_of_n, 1),
+        ("downsetsN", downsets_of_n, 2),
+    ]
+]
+
+
+def least_representation(f):
+    """alpha^-(I): the join of the join-irreducibles j for which I is a
+    minimal subset with j <= alpha_f(I)."""
+    lat = f.lattice
+    leq, join_t = lat._leq, lat._join_t
+    alpha_f = extract_alpha(f).coeffs
+    irreducibles = [j for j in range(lat.m) if len(lat.covers_down[j]) == 1]
+    least = []
+    for mask, top in enumerate(alpha_f):
+        lo = lat.bottom_id
+        for j in irreducibles:
+            if leq[j][top] and not any(
+                leq[j][alpha_f[sub]] for sub in range(mask) if sub & mask == sub
+            ):
+                lo = join_t[lo][j]
+        least.append(lo)
+    return least
+
+
+@pytest.mark.parametrize("make, n", PRODUCT_FIXTURES)
+def test_product_form_equals_the_search(make, n):
+    lat = make()
+    for f in closure_polynomials(lat, n, budget=10**8):
+        members = enumerate_dnf(f, mode="list")
+        assert members == naive_enumerate_dnf(f, mode="list")
+        assert enumerate_dnf(f, mode="count") == len(members)
+        # each factor of the product is the interval [alpha^-(I), alpha_f(I)]
+        leq = lat._leq
+        intervals = [
+            tuple(a for a in range(lat.m) if leq[lo][a] and leq[a][hi])
+            for lo, hi in zip(least_representation(f), extract_alpha(f).coeffs)
+        ]
+        assert _choices(f, None) == intervals
+
+
+def test_count_is_a_product_past_the_reach_of_the_search(chain3_file, capsys):
+    # 3^26 representations: the search spends the default budget long
+    # before counting them
+    lat = chain(3)
+    term = "x1|x2|x3|x4|x5"
+    f = materialize(lat, parse_term(term, lat, 5), 5)
+    assert enumerate_dnf(f, mode="count") == 3**26
+    argv = ["dnf-count", "--lattice", str(chain3_file), "--arity", "5", "--term", term]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"count: {3**26}\n"
+
+
+def test_list_mode_charges_the_maps_it_builds(chain3):
+    # x1 | x2 | x3 has 3^4 normal forms of 8 coefficients each; the
+    # reconstruction (27 + 8) and the choice sets (8 * 3) are charged first
+    f = materialize(chain3, parse_term("x1 | x2 | x3", chain3, 3), 3)
+    with pytest.raises(BudgetExceededError, match="^normal-form enumeration needs 648 "):
+        enumerate_dnf(f, mode="list", budget=100)
+    assert len(enumerate_dnf(f, mode="list", limit=10, budget=100)) == 10
+    assert enumerate_dnf(f, mode="count", budget=100) == 81
+
+
+def test_dnf_census_script_reaches_arity_three():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "dnf_census.py"), "--max-arity", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "B2 n=3: 400 polynomials" in done.stdout
 
 
 # -- reconstruction -----------------------------------------------------------
