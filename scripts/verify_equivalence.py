@@ -4,6 +4,14 @@
 For every order-preserving table on each fixture, all five functional
 characterizations and clone-closure membership are evaluated and compared;
 any disagreement on a distributive lattice would be an implementation bug.
+
+verify_equivalence walks the tables depth-first and runs each equation
+instance once, on the prefix that fixes its last read.  The first table,
+every table whose prefixes leave some condition undecided, and every
+closure member get the full report of all checkers; the rest fail all five
+conditions before their last value and are only counted.  The loop that
+reports every table in full stays in tests/test_oracle.py as
+naive_verify_equivalence, the reference the walk is compared against.
 """
 
 import argparse

@@ -114,15 +114,11 @@ def _line_rows(lat, n):
     )
 
 
-def _diagonal_rows(lat, n):
-    """Getters for the diagonals of f and of its constant substitutions
-    (substituted coordinates in subset_masks order, never all n of them;
-    values in lexicographic order), and the triples (u, v, u ^ v) and
-    (u, v, u v v) to check on them, u-major with u < v: u = v holds by
-    idempotency, and (v, u) fails exactly when (u, v) does, later.
-    For m = 1 a getter returns a bare value and there are no triples."""
+def _diagonals(lat, n):
+    """The grid indices of the diagonals of f and of its constant
+    substitutions (substituted coordinates in subset_masks order, never
+    all n of them; values in lexicographic order), one tuple each."""
     m, strides = lat.m, lat.point_space(n).strides
-    rows = []
     for kmask in subset_masks(n):
         if kmask == (1 << n) - 1 and n > 0:
             continue  # keep at least one free coordinate
@@ -130,12 +126,22 @@ def _diagonal_rows(lat, n):
         step = sum(strides) - sum(kstrides)
         for key in product(range(m), repeat=len(kstrides)):
             base = sum(map(mul, key, kstrides))
-            rows.append(itemgetter(*(base + v * step for v in range(m))))
-    meets, joins = (
+            yield tuple(base + v * step for v in range(m))
+
+
+def _delta_triples(lat):
+    """The triples (u, v, u ^ v) and (u, v, u v v) to check on a diagonal,
+    u-major with u < v: u = v holds by idempotency, and (v, u) fails
+    exactly when (u, v) does, later.  For m = 1 there are none."""
+    return (
         [(u, v, w) for u, row in enumerate(t) for v, w in enumerate(row) if u < v]
         for t in (lat._meet_t, lat._join_t)
     )
-    return rows, meets, joins
+
+
+def _diagonal_rows(lat, n):
+    """Getters for the diagonals, and the triples to check on them."""
+    return [itemgetter(*d) for d in _diagonals(lat, n)], *_delta_triples(lat)
 
 
 _GRID_KINDS = {
@@ -158,6 +164,7 @@ _GRID_KINDS = {
         for c in lat.covers_up[xk]
     ),
     "diagonals": _diagonal_rows,
+    "prefix rows": lambda lat, n: _prefix_rows(lat, n),
 }
 
 
@@ -324,6 +331,9 @@ def _delta_failures(f, budget=None):
     n = f.arity
     vals = f.values
     ensure_budget(len(vals) * (1 << n), budget, "diagonal preservation scan")
+    if lat.m == 1:
+        subset_masks(n)  # the arity rule the scan would apply
+        return None, None  # no triples, so no diagonal to build
     meet_t, join_t = lat._meet_t, lat._join_t
     rows, meet_triples, join_triples = grid_map(lat, n, "diagonals")
     meet_fail = None
@@ -505,6 +515,154 @@ def classify(f, budget=None):
     sugeno = poly and f.values[0] == bottom and f.values[-1] == top
     term_function = sugeno and all(v in (bottom, top) for v in extract_alpha(f).coeffs)
     return Classification(polynomial=poly, term_function=term_function, sugeno=sugeno)
+
+
+# -- sub-check failures on a prefix of a monotone table ------------------------
+#
+# verify_equivalence fixes the values of a monotone table position by
+# position, in grid order.  A row is one instance of a sub-check's equation;
+# it runs once, at the position where the last value it reads is fixed, and
+# when it fails there its sub-check fails for every completion of the
+# prefix.  A threshold row runs only when c lies between f(bottom) and the
+# join of the values fixed so far, which monotonicity puts below f(top);
+# the others, like the global range convexity, are left to the full report.
+
+_BIT = {name: 1 << k for k, name in enumerate(_SUB_CHECKS)}
+_CONDITION_MASKS = [sum(_BIT[name] for name in subs) for subs in _COMPOSITES.values()]
+
+
+def _live_bits(failed):
+    live = 0
+    for mask in _CONDITION_MASKS:
+        if not failed & mask:
+            live |= mask
+    return live
+
+
+# _LIVE[failed]: the sub-checks of the conditions that no failed sub-check
+# has falsified yet; 0 once conditions ii..vi all fail
+_LIVE = tuple(_live_bits(failed) for failed in range(1 << len(_BIT)))
+
+
+def _prefix_rows(lat, n):
+    """failures(p, vals, live, high): the bits of the sub-checks in `live`
+    that fail on a row whose last read is position p, for a monotone prefix
+    vals[0..p] whose values join to `high`.
+
+    The rows hold O(|L|^(n+1) * n) ints, like the maps the checkers read,
+    so a table's full report charges the budget for them first.
+    """
+    m, top = lat.m, lat.top_id
+    meet_t, join_t, leq = lat._meet_t, lat._join_t, lat._leq
+    size = m**n
+    meets, joins = grid_map(lat, n, "meet"), grid_map(lat, n, "join")
+    below, above = grid_map(lat, n, "below"), grid_map(lat, n, "above")
+    # medians[a][u][w]: the median decomposition's value at x_k = a from
+    # u = f(x_k := bottom) and w = f(x_k := top)
+    medians = [
+        [[meet_t[meet_t[join_t[u][a]][join_t[u][w]]][join_t[a][w]] for w in range(m)]
+         for u in range(m)]
+        for a in range(m)
+    ]
+    # the rows whose last read is position p, per sub-check:
+    #   med       (i0, i, t): f(i) = t[f(i0)][f(p)] on the line from i0 to p
+    #   selfcomp  (i, j, v): f(i) = v needs f(j) = v, j on the line through i
+    #   hom_join  (c, i) with p = i v c: f(p) = f(i) v c
+    #   hor_join  (c, i, a, b) with a = i v c and b = [i]^c, p the later
+    #   idem      the c with p = (c, ..., c)
+    #   convex    (i, s): the section i, i + s, ..., p
+    #   delta     getters of the diagonals that end at p
+    med, selfcomp, hom_join, hor_join, idem, convex, delta = (
+        [[] for _ in range(size)] for _ in range(7)
+    )
+    for i, k, xk, i0, s in grid_map(lat, n, "lines"):
+        end = i0 + top * s
+        if 0 < xk < top:  # at x_k = bottom or top the equation holds for monotone f
+            med[end].append((i0, i, medians[xk]))
+        if xk == 0:
+            convex[end].append((i, s))
+        for v in range(m):
+            j = i0 + v * s
+            if j != i:
+                selfcomp[max(i, j)].append((i, j, v))
+    for c in range(m):
+        idem[lat.point_space(n).diag_index(c)].append(c)
+        for i in range(size):
+            hom_join[joins[c][i]].append((c, i))
+            hor_join[max(joins[c][i], above[c][i])].append((c, i, joins[c][i], above[c][i]))
+    meet_triples, join_triples = _delta_triples(lat)
+    if meet_triples:
+        for d in _diagonals(lat, n):
+            delta[d[-1]].append(itemgetter(*d))
+    intervals = [
+        [tuple(c for c in range(m) if leq[u][c] and leq[c][w]) for w in range(m)]
+        for u in range(m)
+    ]
+    MED, SELF, CONVEX, IDEM = _BIT["med"], _BIT["selfcomp"], _BIT["convex"], _BIT["idem"]
+    HOM_MEET, HOM_JOIN = _BIT["hom_meet"], _BIT["hom_join"]
+    HOR_MEET, HOR_JOIN = _BIT["hor_meet"], _BIT["hor_join"]
+    DELTA, DELTA_JOIN = _BIT["delta_both"], _BIT["delta_join"]
+
+    def failures(p, vals, live, high):
+        failed = 0
+        fp = vals[p]
+        cs = intervals[vals[0]][high]
+        if live & MED:
+            for i0, i, t in med[p]:
+                if t[vals[i0]][fp] != vals[i]:
+                    failed |= MED
+                    break
+        if live & SELF:
+            for i, j, v in selfcomp[p]:
+                if vals[i] == v and vals[j] != v:
+                    failed |= SELF
+                    break
+        if live & HOM_MEET:  # f(p ^ c) = f(p) ^ c
+            row = meet_t[fp]
+            for c in cs:
+                if vals[meets[c][p]] != row[c]:
+                    failed |= HOM_MEET
+                    break
+        if live & HOM_JOIN:
+            for c, i in hom_join[p]:
+                if c in cs and join_t[vals[i]][c] != fp:
+                    failed |= HOM_JOIN
+                    break
+        if live & HOR_MEET:  # f(p) = f(p ^ c) v f([p]_c)
+            for c in cs:
+                if join_t[vals[meets[c][p]]][vals[below[c][p]]] != fp:
+                    failed |= HOR_MEET
+                    break
+        if live & HOR_JOIN:
+            for c, i, a, b in hor_join[p]:
+                if c in cs and meet_t[vals[a]][vals[b]] != vals[i]:
+                    failed |= HOR_JOIN
+                    break
+        if live & IDEM:
+            for c in idem[p]:
+                if c in cs and fp != c:
+                    failed |= IDEM
+                    break
+        if live & CONVEX:
+            for i, s in convex[p]:
+                section = set(vals[i : p + 1 : s])
+                if len(section) < m and _convexity_gap(section, leq, m) is not None:
+                    failed |= CONVEX
+                    break
+        if live & (DELTA | DELTA_JOIN):
+            # a join failure fails both delta sub-checks, a meet failure one
+            for get in delta[p]:
+                d = get(vals)
+                if any(d[w] != join_t[d[u]][d[v]] for u, v, w in join_triples):
+                    failed |= DELTA | DELTA_JOIN
+                    break
+                if live & DELTA and not failed & DELTA and any(
+                    d[w] != meet_t[d[u]][d[v]] for u, v, w in meet_triples
+                ):
+                    failed |= DELTA
+        return failed
+
+    return failures
 
 
 # -- report rendering ---------------------------------------------------------

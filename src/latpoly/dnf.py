@@ -84,14 +84,13 @@ def extract_alpha(f):
     n = f.arity
     subset_masks(n)  # the arity rule: raises past the mask width
     top = f.lattice.top_id
-    encode = f.space.encode
     vals = f.values
-    # bit k of the mask is coordinate k+1 of the 0/1 point e_I
-    coeffs = [
-        vals[encode([top if mask >> k & 1 else 0 for k in range(n)])]
-        for mask in range(1 << n)
-    ]
-    return DNFMap(f.lattice, n, coeffs)
+    # bit k of the mask is coordinate k+1 of the 0/1 point e_I, whose grid
+    # index is top times the sum of the strides of the coordinates in I
+    offsets = [0]
+    for s in f.space.strides:
+        offsets += [o + s for o in offsets]
+    return DNFMap(f.lattice, n, [vals[top * o] for o in offsets])
 
 
 def dnf_evaluate(alpha, point):

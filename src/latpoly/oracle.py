@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .budget import ensure_budget, resolve_budget
-from .conditions import check_condition, evaluate_all_conditions, grid_map
+from .conditions import _LIVE, check_condition, evaluate_all_conditions, grid_map
 from .dnf import DNFMap, dnf_evaluate, subset_masks
 from .errors import (
     InvalidParamsError,
@@ -124,6 +124,49 @@ def iter_monotone_tables(lattice, n):
     """All order-preserving tables L^n -> L, in canonical order: values are
     assigned along the grid's linear extension."""
     yield from _monotone_assignments(lattice, _point_lower_covers(lattice, n))
+
+
+def _settled_walk(lattice, n):
+    """Every monotone table as iter_monotone_tables gives it, each with a
+    flag: True when rows over its prefixes already fail conditions ii..vi.
+
+    The all-bottom table comes first, unflagged, and the rows are built
+    only after it: its full report charges the budget for them.  Each
+    later position runs the rows whose last read it fixes, unless the
+    prefix before it has settled all five verdicts.
+    """
+    join_t = lattice._join_t
+    ups = [tuple(lattice.upset_ids(v)) for v in range(lattice.m)]
+    lower = _point_lower_covers(lattice, n)
+    size = len(lower)
+    values = [0] * size
+    yield tuple(values), False
+    failures = grid_map(lattice, n, "prefix rows")
+    # fails[p], highs[p]: the failed sub-checks of the prefix before
+    # position p, and the join of its values
+    fails = [0] * size
+    highs = [0] * size
+    # resume after the all-bottom table: every position has tried bottom
+    iters = [iter(ups[0][1:]) for _ in range(size)]
+    pos = size - 1
+    while pos >= 0:
+        nxt = next(iters[pos], None)
+        if nxt is None:
+            pos -= 1
+            continue
+        values[pos] = nxt
+        failed = fails[pos]
+        high = join_t[highs[pos]][nxt]
+        live = _LIVE[failed]
+        if live:
+            failed |= failures(pos, values, live, high)
+        if pos + 1 == size:
+            yield tuple(values), not _LIVE[failed]
+        else:
+            pos += 1
+            fails[pos] = failed
+            highs[pos] = high
+            iters[pos] = iter(ups[_floor(join_t, lower[pos], values)])
 
 
 def count_monotone_tables(lattice, n, stop_after=None):
@@ -295,6 +338,12 @@ def verify_equivalence(lattice, n, budget=None, seed=0, max_sample=1000):
     Any disagreement on a distributive lattice indicates an implementation
     bug (the equivalence is a theorem), so callers should treat a non-empty
     inconsistency list as a failure.
+
+    An exhaustive run walks the tables depth-first and gives the full
+    evaluate_all_conditions report to the first table, to every table the
+    rows over its prefixes leave unsettled, and to every closure member;
+    the others fail all five conditions and are only counted.  A sampled
+    run reports every table in full.
     """
     allowed = resolve_budget(budget)
     closure = _closure_values(lattice, n, budget)
@@ -303,28 +352,28 @@ def verify_equivalence(lattice, n, budget=None, seed=0, max_sample=1000):
     total = count_monotone_tables(lattice, n, stop_after=max_tables)
     if total <= max_tables:
         mode = "exhaustive"
-        source = iter_monotone_tables(lattice, n)
+        source = _settled_walk(lattice, n)
         used_seed = None
     else:
         mode = "sampled"
         rng = random.Random(seed)
         used_seed = seed
         source = (
-            random_monotone_table(lattice, n, rng)
+            (random_monotone_table(lattice, n, rng), False)
             for _ in range(min(max_sample, max_tables))
         )
 
     checked = 0
     polynomial_count = 0
     inconsistencies = []
-    for values in source:
-        f = FunctionTable(lattice, n, values)
-        report = evaluate_all_conditions(
-            f, budget=budget, known_polynomial=values in closure
-        )
+    for values, settled in source:
         checked += 1
-        if report.polynomial:
-            polynomial_count += 1
+        polynomial = values in closure
+        polynomial_count += polynomial
+        if settled and not polynomial:
+            continue  # consistent: ii..vi all fail
+        f = FunctionTable(lattice, n, values)
+        report = evaluate_all_conditions(f, budget=budget, known_polynomial=polynomial)
         if not report.consistent:
             inconsistencies.append((values, report))
     return VerificationReport(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from latpoly import (
     FunctionTable,
     boolean,
+    build_from_covers,
     chain,
     Witness,
     check_condition,
@@ -22,14 +23,18 @@ from latpoly import (
     classify,
     delta,
     evaluate_all_conditions,
+    extract_alpha,
     is_order_preserving,
+    m3,
     materialize,
     n5,
     parse_term,
+    product,
     random_term,
     report_lines,
     substitute,
 )
+from latpoly.conditions import _BIT, _SUB_CHECKS, grid_map
 from latpoly.errors import BudgetExceededError, HypothesisViolatedError
 from latpoly.oracle import closure_polynomials, iter_monotone_tables
 
@@ -660,3 +665,45 @@ def test_index_maps_are_built_after_the_budget_check(check):
     assert lat._cache == {}
     check(f, budget=None)
     assert lat._cache != {}
+
+
+def test_one_element_lattice_builds_no_diagonals():
+    # with one element no pair u < v is tested on a diagonal, so the delta
+    # scan returns before building its 2^n diagonals
+    lat = build_from_covers("one", ["z"], [])
+    f = FunctionTable(lat, 20, [0])
+    report = evaluate_all_conditions(f)
+    assert report.polynomial and report.consistent
+    assert extract_alpha(f).coeffs == (0,) * (1 << 20)
+    assert ("grid", "diagonals", 20) not in lat._cache
+
+
+@pytest.mark.parametrize(
+    "make, n, stride",
+    [
+        (lambda: chain(3), 2, 1),
+        (lambda: chain(2), 3, 1),
+        (lambda: boolean(2), 2, 29),  # every 29th of 28,224 tables
+        (n5, 1, 1),
+        (m3, 1, 1),
+        (lambda: product(chain(2), chain(3)), 1, 1),
+    ],
+    ids=["chain3-2", "chain2-3", "B2-2", "N5-1", "M3-1", "chain2xchain3-1"],
+)
+def test_prefix_rows_fail_only_sub_checks_that_fail(make, n, stride):
+    # verify_equivalence takes a failing row as a failure of its sub-check
+    # on every completion of the prefix, so on each monotone table every
+    # row, at every position, may fail only sub-checks whose scan fails
+    lat = make()
+    evaluate_all_conditions(FunctionTable(lat, n, [0] * lat.m**n))  # charges the rows' budget
+    failures = grid_map(lat, n, "prefix rows")
+    every = sum(_BIT.values())
+    for values in itertools.islice(iter_monotone_tables(lat, n), 0, None, stride):
+        f = FunctionTable(lat, n, values)
+        failing = sum(
+            bit for name, bit in _BIT.items() if not _SUB_CHECKS[name][1](f, None, "interval", {})[0]
+        )
+        high = 0
+        for p, v in enumerate(values):
+            high = lat.join(high, v)
+            assert failures(p, values, every, high) & ~failing == 0, (values, p)

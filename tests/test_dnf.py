@@ -84,6 +84,17 @@ def test_alpha_of_constant(b2):
     assert extract_alpha(f).coeffs == (a,) * 4
 
 
+def test_alpha_reads_f_at_the_zero_one_points(chain3, b2):
+    # bit k of the mask sets coordinate k+1 of e_I to top
+    rng = random.Random(5)
+    for lat, n in ((chain3, 3), (b2, 2)):
+        f = FunctionTable(lat, n, [rng.randrange(lat.m) for _ in range(lat.m**n)])
+        expected = [
+            f([lat.top_id if mask >> k & 1 else 0 for k in range(n)]) for mask in range(1 << n)
+        ]
+        assert list(extract_alpha(f).coeffs) == expected
+
+
 # -- normal form evaluation -------------------------------------------------
 
 

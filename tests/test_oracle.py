@@ -30,8 +30,15 @@ from latpoly import (
     random_monotone_table,
     verify_equivalence,
 )
+from latpoly.budget import resolve_budget
 from latpoly.errors import BudgetExceededError, NotDistributiveError, NotNonDistributiveError
-from latpoly.oracle import FunctionSet
+from latpoly.oracle import (
+    _COST_FACTOR,
+    FunctionSet,
+    VerificationReport,
+    _closure_values,
+    _settled_walk,
+)
 from latpoly.terms import Const, Var
 
 
@@ -71,6 +78,52 @@ def naive_closure(lat, n):
                     tables.add(u)
                     queue.append(u)
     return frozenset(tables)
+
+
+def naive_verify_equivalence(lattice, n, budget=None, seed=0, max_sample=1000):
+    """Run every condition checker on every table; the slow reference for
+    verify_equivalence, which skips the checkers where rows over a prefix
+    already fail all five conditions."""
+    allowed = resolve_budget(budget)
+    closure = _closure_values(lattice, n, budget)
+    sp = lattice.point_space(n)
+    max_tables = max(1, allowed // (sp.size * _COST_FACTOR))
+    total = count_monotone_tables(lattice, n, stop_after=max_tables)
+    if total <= max_tables:
+        mode = "exhaustive"
+        source = iter_monotone_tables(lattice, n)
+        used_seed = None
+    else:
+        mode = "sampled"
+        rng = random.Random(seed)
+        used_seed = seed
+        source = (
+            random_monotone_table(lattice, n, rng)
+            for _ in range(min(max_sample, max_tables))
+        )
+
+    checked = 0
+    polynomial_count = 0
+    inconsistencies = []
+    for values in source:
+        f = FunctionTable(lattice, n, values)
+        report = evaluate_all_conditions(
+            f, budget=budget, known_polynomial=values in closure
+        )
+        checked += 1
+        if report.polynomial:
+            polynomial_count += 1
+        if not report.consistent:
+            inconsistencies.append((values, report))
+    return VerificationReport(
+        lattice_name=lattice.name,
+        arity=n,
+        mode=mode,
+        seed=used_seed,
+        checked=checked,
+        polynomial_count=polynomial_count,
+        inconsistencies=inconsistencies,
+    )
 
 
 def med_form_tables(lat):
@@ -342,6 +395,85 @@ def test_verify_sampled_mode_is_seeded(chain3):
     assert r1.mode == "sampled"
     assert r1.format_text() == r2.format_text()
     assert "sampled seed=9" in r1.format_text()
+
+
+VERIFY_LATTICES = {
+    "chain2": lambda: chain(2),
+    "chain3": lambda: chain(3),
+    "chain4": lambda: chain(4),
+    "B2": lambda: boolean(2),
+    "N5": n5,
+    "M3": m3,
+    "chain2xchain3": lambda: product(chain(2), chain(3)),
+}
+
+
+@pytest.fixture(scope="session")
+def naive_verification():
+    """get(name, n): a lattice and its naive_verify_equivalence report,
+    each built once per session."""
+    built = {}
+
+    def get(name, n):
+        if (name, n) not in built:
+            lat = VERIFY_LATTICES[name]()
+            built[name, n] = lat, naive_verify_equivalence(lat, n)
+        return built[name, n]
+
+    return get
+
+
+@pytest.mark.parametrize(
+    "name, n, inconsistent",
+    [(name, n, 0) for name in ("chain2", "chain3", "B2") for n in (1, 2)]
+    + [("chain4", 2, 0), ("chain2", 3, 0), ("N5", 1, 14), ("M3", 1, 172)]
+    + [("chain2xchain3", 1, 0)],
+)
+def test_verify_equals_the_per_table_loop(naive_verification, name, n, inconsistent):
+    # dataclass equality compares every field, down to each inconsistent
+    # table's full ConditionReport with its witnesses
+    lat, expected = naive_verification(name, n)
+    assert len(expected.inconsistencies) == inconsistent
+    assert verify_equivalence(lat, n) == expected
+
+
+def test_verify_refuses_as_the_per_table_loop():
+    # one table, so exhaustive mode at budget 15; its diagonal scan needs 16
+    lat = CLOSURE_LATTICES["one"]()
+    message = "^diagonal preservation scan needs 16 point evaluations but the budget allows 15$"
+    for verify in (naive_verify_equivalence, verify_equivalence):
+        with pytest.raises(BudgetExceededError, match=message):
+            verify(lat, 4, budget=15)
+
+
+def test_settled_subtrees_still_test_membership_leaf_by_leaf():
+    # plant a fault in the closure: drop the projection x1 and add a
+    # non-polynomial table whose first four values already fail ii..vi
+    lat = boolean(2)
+    top = lat.top_id
+    dropped = tuple(x[0] for x in lat.point_space(2).iter_points())
+    planted = (0, 0, 0, top) * 4
+    closure = _closure_values(lat, 2, None)
+    assert dropped in closure and planted not in closure
+    below_prefix = [s for v, s in _settled_walk(lat, 2) if v[:4] == planted[:4]]
+    assert len(below_prefix) > 1 and all(below_prefix)
+    lat._cache[("closure", 2)] = (closure - {dropped}) | {planted}
+    expected = naive_verify_equivalence(lat, 2)
+    assert [values for values, _ in expected.inconsistencies] == [dropped, planted]
+    assert verify_equivalence(lat, 2) == expected
+
+
+def test_verify_chain3_ternary_exhaustive_at_a_lifted_budget(chain3):
+    # the default budget samples these 211,250 tables; the per-table loop
+    # gives the same report in about 25 s
+    report = verify_equivalence(chain3, 3, budget=10**9)
+    assert (report.mode, report.checked, report.polynomial_count) == ("exhaustive", 211_250, 168)
+    assert report.inconsistencies == []
+
+
+def test_settled_walk_gives_the_monotone_tables(b2, chain3):
+    for lat, n in ((b2, 2), (chain3, 2)):
+        assert [v for v, _ in _settled_walk(lat, n)] == list(iter_monotone_tables(lat, n))
 
 
 # -- witness search ---------------------------------------------------------
