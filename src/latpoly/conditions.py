@@ -23,7 +23,7 @@ plus "delta-meet"/"delta-join" and "range-convex"/"section-convex".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from operator import itemgetter, mul
 
 from .budget import ensure_budget
@@ -114,11 +114,12 @@ def _line_rows(lat, n):
     )
 
 
-def _diagonals(lat, n):
-    """The grid indices of the diagonals of f and of its constant
-    substitutions (substituted coordinates in subset_masks order, never
-    all n of them; values in lexicographic order), one tuple each."""
+def _diagonal_rows(lat, n):
+    """Getters for the diagonals of f and of its constant substitutions
+    (substituted coordinates in subset_masks order, never all n of them;
+    values in lexicographic order): each returns one diagonal as a tuple."""
     m, strides = lat.m, lat.point_space(n).strides
+    rows = []
     for kmask in subset_masks(n):
         if kmask == (1 << n) - 1 and n > 0:
             continue  # keep at least one free coordinate
@@ -126,22 +127,17 @@ def _diagonals(lat, n):
         step = sum(strides) - sum(kstrides)
         for key in product(range(m), repeat=len(kstrides)):
             base = sum(map(mul, key, kstrides))
-            yield tuple(base + v * step for v in range(m))
+            rows.append(itemgetter(*(base + v * step for v in range(m))))
+    return rows
 
 
-def _delta_triples(lat):
-    """The triples (u, v, u ^ v) and (u, v, u v v) to check on a diagonal,
-    u-major with u < v: u = v holds by idempotency, and (v, u) fails
-    exactly when (u, v) does, later.  For m = 1 there are none."""
-    return (
-        [(u, v, w) for u, row in enumerate(t) for v, w in enumerate(row) if u < v]
-        for t in (lat._meet_t, lat._join_t)
-    )
-
-
-def _diagonal_rows(lat, n):
-    """Getters for the diagonals, and the triples to check on them."""
-    return [itemgetter(*d) for d in _diagonals(lat, n)], *_delta_triples(lat)
+def _lower_covers(lat, n):
+    """lower[j]: the grid indices of the points that the point at index j
+    covers in the product order, in the order of the covers rows."""
+    lower = [[] for _ in range(lat.m**n)]
+    for i, _, j in grid_map(lat, n, "covers"):
+        lower[j].append(i)
+    return tuple(map(tuple, lower))
 
 
 _GRID_KINDS = {
@@ -163,6 +159,7 @@ _GRID_KINDS = {
         for i, k, xk, i0, s in grid_map(lat, n, "lines")
         for c in lat.covers_up[xk]
     ),
+    "lower covers": _lower_covers,
     "diagonals": _diagonal_rows,
     "prefix rows": lambda lat, n: _prefix_rows(lat, n),
 }
@@ -333,30 +330,37 @@ def _delta_failures(f, budget=None):
     ensure_budget(len(vals) * (1 << n), budget, "diagonal preservation scan")
     if lat.m == 1:
         subset_masks(n)  # the arity rule the scan would apply
-        return None, None  # no triples, so no diagonal to build
+        return None, None  # no pairs u < v, so no diagonal to build
     meet_t, join_t = lat._meet_t, lat._join_t
-    rows, meet_triples, join_triples = grid_map(lat, n, "diagonals")
     meet_fail = None
     join_fail = None
     seen = set()
-    for pos, row in enumerate(rows):
+    for pos, row in enumerate(grid_map(lat, n, "diagonals")):
         d = row(vals)
         if d in seen:
             continue
         seen.add(d)
         if meet_fail is None:
-            for u, v, w in meet_triples:
-                if d[w] != meet_t[d[u]][d[v]]:
-                    meet_fail = (pos, Witness(x=(u, v), eq="delta-meet"))
-                    break
+            bad = _unpreserved_pair(d, meet_t)
+            if bad is not None:
+                meet_fail = (pos, Witness(x=bad, eq="delta-meet"))
         if join_fail is None:
-            for u, v, w in join_triples:
-                if d[w] != join_t[d[u]][d[v]]:
-                    join_fail = (pos, Witness(x=(u, v), eq="delta-join"))
-                    break
+            bad = _unpreserved_pair(d, join_t)
+            if bad is not None:
+                join_fail = (pos, Witness(x=bad, eq="delta-join"))
         if meet_fail is not None and join_fail is not None:
             break
     return meet_fail, join_fail
+
+
+def _unpreserved_pair(d, op):
+    """The first pair (u, v), u-major with u < v, where the diagonal d
+    fails d(u op v) = d(u) op d(v), or None.  u = v holds by idempotency,
+    and (v, u) fails exactly when (u, v) does."""
+    for u, v in combinations(range(len(d)), 2):
+        if d[op[u][v]] != op[d[u]][d[v]]:
+            return u, v
+    return None
 
 
 def check_delta_preservation(f, which="both", budget=None):
@@ -524,8 +528,9 @@ def classify(f, budget=None):
 # it runs once, at the position where the last value it reads is fixed, and
 # when it fails there its sub-check fails for every completion of the
 # prefix.  A threshold row runs only when c lies between f(bottom) and the
-# join of the values fixed so far, which monotonicity puts below f(top);
-# the others, like the global range convexity, are left to the full report.
+# join of the values fixed so far, which monotonicity puts below f(top).
+# The other thresholds, the global range convexity and diagonal
+# preservation have no rows: they are left to the full report.
 
 _BIT = {name: 1 << k for k, name in enumerate(_SUB_CHECKS)}
 _CONDITION_MASKS = [sum(_BIT[name] for name in subs) for subs in _COMPOSITES.values()]
@@ -571,9 +576,8 @@ def _prefix_rows(lat, n):
     #   hor_join  (c, i, a, b) with a = i v c and b = [i]^c, p the later
     #   idem      the c with p = (c, ..., c)
     #   convex    (i, s): the section i, i + s, ..., p
-    #   delta     getters of the diagonals that end at p
-    med, selfcomp, hom_join, hor_join, idem, convex, delta = (
-        [[] for _ in range(size)] for _ in range(7)
+    med, selfcomp, hom_join, hor_join, idem, convex = (
+        [[] for _ in range(size)] for _ in range(6)
     )
     for i, k, xk, i0, s in grid_map(lat, n, "lines"):
         end = i0 + top * s
@@ -590,10 +594,6 @@ def _prefix_rows(lat, n):
         for i in range(size):
             hom_join[joins[c][i]].append((c, i))
             hor_join[max(joins[c][i], above[c][i])].append((c, i, joins[c][i], above[c][i]))
-    meet_triples, join_triples = _delta_triples(lat)
-    if meet_triples:
-        for d in _diagonals(lat, n):
-            delta[d[-1]].append(itemgetter(*d))
     intervals = [
         [tuple(c for c in range(m) if leq[u][c] and leq[c][w]) for w in range(m)]
         for u in range(m)
@@ -601,7 +601,6 @@ def _prefix_rows(lat, n):
     MED, SELF, CONVEX, IDEM = _BIT["med"], _BIT["selfcomp"], _BIT["convex"], _BIT["idem"]
     HOM_MEET, HOM_JOIN = _BIT["hom_meet"], _BIT["hom_join"]
     HOR_MEET, HOR_JOIN = _BIT["hor_meet"], _BIT["hor_join"]
-    DELTA, DELTA_JOIN = _BIT["delta_both"], _BIT["delta_join"]
 
     def failures(p, vals, live, high):
         failed = 0
@@ -649,17 +648,6 @@ def _prefix_rows(lat, n):
                 if len(section) < m and _convexity_gap(section, leq, m) is not None:
                     failed |= CONVEX
                     break
-        if live & (DELTA | DELTA_JOIN):
-            # a join failure fails both delta sub-checks, a meet failure one
-            for get in delta[p]:
-                d = get(vals)
-                if any(d[w] != join_t[d[u]][d[v]] for u, v, w in join_triples):
-                    failed |= DELTA | DELTA_JOIN
-                    break
-                if live & DELTA and not failed & DELTA and any(
-                    d[w] != meet_t[d[u]][d[v]] for u, v, w in meet_triples
-                ):
-                    failed |= DELTA
         return failed
 
     return failures

@@ -50,7 +50,7 @@ def subset_masks(n):
         raise InvalidParamsError(
             f"subset enumeration supports 0..{MAX_DNF_VARS} positions, got {n}"
         )
-    return tuple(sorted(range(1 << n), key=lambda s: (bin(s).count("1"), s)))
+    return tuple(sorted(range(1 << n), key=int.bit_count))  # stable: numeric within a size
 
 
 def format_subset(mask):

@@ -76,14 +76,6 @@ class FunctionSet:
 # -- monotone table enumeration ----------------------------------------------
 
 
-def _point_lower_covers(lattice, n):
-    """For each grid index, the indices covered by it in the product order."""
-    out = [[] for _ in range(lattice.m ** n)]
-    for i, _, j in grid_map(lattice, n, "covers"):
-        out[j].append(i)
-    return out
-
-
 def _floor(join_t, below, values):
     """The join of the values at the positions `below`."""
     lo = 0
@@ -123,7 +115,7 @@ def _monotone_assignments(lattice, lower):
 def iter_monotone_tables(lattice, n):
     """All order-preserving tables L^n -> L, in canonical order: values are
     assigned along the grid's linear extension."""
-    yield from _monotone_assignments(lattice, _point_lower_covers(lattice, n))
+    yield from _monotone_assignments(lattice, grid_map(lattice, n, "lower covers"))
 
 
 def _settled_walk(lattice, n):
@@ -137,7 +129,7 @@ def _settled_walk(lattice, n):
     """
     join_t = lattice._join_t
     ups = [tuple(lattice.upset_ids(v)) for v in range(lattice.m)]
-    lower = _point_lower_covers(lattice, n)
+    lower = grid_map(lattice, n, "lower covers")
     size = len(lower)
     values = [0] * size
     yield tuple(values), False
@@ -183,7 +175,7 @@ def random_monotone_table(lattice, n, rng):
     """One order-preserving table drawn with a seeded generator."""
     join_t = lattice._join_t
     ups = [tuple(lattice.upset_ids(v)) for v in range(lattice.m)]
-    lower = _point_lower_covers(lattice, n)
+    lower = grid_map(lattice, n, "lower covers")
     values = [0] * len(lower)
     for i, below in enumerate(lower):
         values[i] = rng.choice(ups[_floor(join_t, below, values)])

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from latpoly import cli
 from latpoly.cli import main
-from latpoly.terms import MAX_TERM_DEPTH
+from latpoly.oracle import NondistributiveWitness
+from latpoly.terms import MAX_TERM_DEPTH, FunctionTable
 
 from conftest import CHAIN3_LAT, N5_LAT
 
@@ -311,6 +312,23 @@ def test_witness_on_pentagon(capsys, n5_file):
     assert out[0] == "witness condition=iv direction=polynomial-violates"
     assert out[1] == "table 1"
     assert any(line.startswith("detail: FAIL at") for line in out)
+
+
+def test_witness_second_phase_lines(capsys, monkeypatch, n5_file):
+    # the search's scan of non-polynomial tables, which no lattice file reaches
+    argv = ("witness", "--lattice", str(n5_file), "--arity", "1", "--condition", "iv")
+    monkeypatch.setattr(cli, "find_nondistributive_witness", lambda lat, n, cond, budget: None)
+    assert run(capsys, *argv) == (1, ["no witness found for condition iv"])
+
+    def satisfying(lat, n, cond, budget):
+        table = FunctionTable(lat, n, (lat.bottom_id,) * lat.m**n)
+        return NondistributiveWitness(cond, "nonpolynomial-satisfies", table)
+
+    monkeypatch.setattr(cli, "find_nondistributive_witness", satisfying)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out[0] == "witness condition=iv direction=nonpolynomial-satisfies"
+    assert out[-1] == "detail: satisfies the condition despite not being polynomial"
 
 
 def test_witness_on_distributive_is_usage_error(capsys, chain3_file):

@@ -56,6 +56,10 @@ def brute_force_table(lat, term, n):
 
 def test_subset_masks_order():
     assert subset_masks(3) == (0, 1, 2, 4, 3, 5, 6, 7)
+    for n in range(13):
+        assert subset_masks(n) == tuple(
+            sorted(range(1 << n), key=lambda s: (bin(s).count("1"), s))
+        )
 
 
 def test_format_subset():
@@ -153,6 +157,15 @@ def test_membership_two_paths_agree(b2):
             for i, x in enumerate(sp.iter_points())
         )
         assert dnf_membership(alpha, f) == definitional
+
+
+def test_membership_compares_pointwise_off_distributivity(pentagon):
+    # (x ^ b) v a and med(a, x, b) share the 0/1 restriction (a, b), so
+    # only the comparison at every point tells them apart
+    alpha = DNFMap(pentagon, 1, (pentagon.element("a").id, pentagon.element("b").id))
+    for term, member in (("x1 & 'b' | 'a'", True), ("med('a', x1, 'b')", False)):
+        f = materialize(pentagon, parse_term(term, pentagon, 1), 1)
+        assert dnf_membership(alpha, f) is member
 
 
 def test_membership_extracts_alpha_once(b2, monkeypatch):
@@ -461,6 +474,12 @@ def test_equivalent_full_domain_on_non_distributive(pentagon):
     equal, witness = equivalent(pentagon, t1, t2, 1)
     assert not equal
     assert witness == (pentagon.element("c").id,)
+
+
+def test_equivalent_absorption_on_non_distributive(pentagon):
+    t1 = parse_term("x1 & (x1 | x2)", pentagon, 2)
+    t2 = parse_term("x1", pentagon, 2)
+    assert equivalent(pentagon, t1, t2, 2) == (True, None)
 
 
 def test_equivalent_checks_the_budget_on_distributive_lattices(chain3):

@@ -389,7 +389,9 @@ def test_verify_b2_unary(b2):
 
 
 def test_verify_sampled_mode_is_seeded(chain3):
-    # force sampling with a tiny budget; identical seeds, identical reports
+    # the closure needs 504 evaluations, so build it at the default budget;
+    # then force sampling with a tiny budget: identical seeds, identical reports
+    closure_polynomials(chain3, 2)
     r1 = verify_equivalence(chain3, 2, budget=500, seed=9)
     r2 = verify_equivalence(chain3, 2, budget=500, seed=9)
     assert r1.mode == "sampled"
@@ -463,6 +465,25 @@ def test_settled_subtrees_still_test_membership_leaf_by_leaf():
     assert verify_equivalence(lat, 2) == expected
 
 
+def test_format_text_lists_each_inconsistent_table():
+    # the planted fault of test_settled_subtrees_still_test_membership_leaf_by_leaf,
+    # as the CLI prints it
+    lat = boolean(2)
+    top = lat.top_id
+    dropped = tuple(x[0] for x in lat.point_space(2).iter_points())
+    planted = (0, 0, 0, top) * 4
+    closure = _closure_values(lat, 2, None)
+    lat._cache[("closure", 2)] = (closure - {dropped}) | {planted}
+    assert verify_equivalence(lat, 2).format_text().splitlines() == [
+        "verify B2 n=2 mode=exhaustive",
+        "checked=28224 polynomial=36 inconsistent=2",
+        "inconsistent: f=[0 0 0 0 1 1 1 1 2 2 2 2 3 3 3 3] "
+        "ii=True iii=True iv=True v=True vi=True polynomial=False",
+        "inconsistent: f=[0 0 0 3 0 0 0 3 0 0 0 3 0 0 0 3] "
+        "ii=False iii=False iv=False v=False vi=False polynomial=True",
+    ]
+
+
 def test_verify_chain3_ternary_exhaustive_at_a_lifted_budget(chain3):
     # the default budget samples these 211,250 tables; the per-table loop
     # gives the same report in about 25 s
@@ -511,6 +532,26 @@ def test_pentagon_binary_witnesses(pentagon_binary, cond):
     assert found.direction == "polynomial-violates"
     assert not check_condition(found.table, cond)[0]
     assert found.table.values in closure_polynomials(pentagon_binary, 2)
+
+
+@pytest.mark.parametrize("cond", ["iii", "iv", "v", "vi"])
+def test_witness_search_second_phase_on_a_planted_closure(cond):
+    # no real fixture reaches the scan of the non-polynomial tables: a
+    # closure member always violates the condition first.  An empty closure
+    # makes the all-bottom table a non-member that satisfies it, and a
+    # closure of every satisfying table leaves nothing to find.
+    lat = n5()
+    lat._cache[("closure", 1)] = frozenset()
+    found = find_nondistributive_witness(lat, 1, cond)
+    assert found.direction == "nonpolynomial-satisfies"
+    assert found.table.values == (lat.bottom_id,) * lat.m
+    assert found.detail is None
+    lat._cache[("closure", 1)] = frozenset(
+        values
+        for values in iter_monotone_tables(lat, 1)
+        if check_condition(FunctionTable(lat, 1, values), cond)[0]
+    )
+    assert find_nondistributive_witness(lat, 1, cond) is None
 
 
 def test_witness_search_rejects_distributive(chain4):
