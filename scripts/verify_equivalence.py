@@ -6,12 +6,12 @@ characterizations and clone-closure membership are evaluated and compared;
 any disagreement on a distributive lattice would be an implementation bug.
 
 verify_equivalence walks the tables depth-first and runs each equation
-instance once, on the prefix that fixes its last read.  The first table,
-every table whose prefixes leave some condition undecided, and every
-closure member get the full report of all checkers; the rest fail all five
-conditions before their last value and are only counted.  The loop that
-reports every table in full stays in tests/test_oracle.py as
-naive_verify_equivalence, the reference the walk is compared against.
+instance once, on the prefix that fixes its last read.  Every closure
+member and every table whose prefixes leave some condition undecided get
+the full report of all checkers; the walk does not extend a prefix on
+which all five conditions fail, so the tables below it are only counted.
+The loop that reports every table in full stays in tests/test_oracle.py
+as naive_verify_equivalence, the reference the walk is compared against.
 """
 
 import argparse

@@ -327,9 +327,9 @@ def _delta_failures(f, budget=None):
     lat = f.lattice
     n = f.arity
     vals = f.values
+    subset_masks(n)  # the arity rule comes before the budget
     ensure_budget(len(vals) * (1 << n), budget, "diagonal preservation scan")
     if lat.m == 1:
-        subset_masks(n)  # the arity rule the scan would apply
         return None, None  # no pairs u < v, so no diagonal to build
     meet_t, join_t = lat._meet_t, lat._join_t
     meet_fail = None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 from .budget import ensure_budget, resolve_budget
 from .conditions import _LIVE, check_condition, evaluate_all_conditions, grid_map
@@ -84,13 +85,18 @@ def _floor(join_t, below, values):
     return lo
 
 
-def _monotone_assignments(lattice, lower):
+def _monotone_assignments(lattice, lower, rows=None):
     """Every assignment of lattice elements to the positions 0..len(lower)-1
     that is monotone along `lower`, in lexicographic order, as tuples.
 
     lower[p] lists the positions below p, all of them earlier than p.  At
     each position the admissible values are the up-set of the join of the
     values already fixed below it, which is exactly monotonicity.
+
+    With `rows`, the "prefix rows" of a grid, the walk carries the failed
+    sub-checks of each prefix and does not extend a prefix on which
+    conditions ii..vi all fail: it gives only the tables the rows leave
+    unsettled.
     """
     join_t = lattice._join_t
     ups = [tuple(lattice.upset_ids(v)) for v in range(lattice.m)]
@@ -98,6 +104,10 @@ def _monotone_assignments(lattice, lower):
     values = [0] * size
     iters = [None] * size
     iters[0] = iter(ups[0])
+    # fails[p], highs[p]: the failed sub-checks of the prefix before
+    # position p, and the join of its values
+    fails = [0] * size
+    highs = [0] * size
     pos = 0
     while pos >= 0:
         nxt = next(iters[pos], None)
@@ -105,10 +115,18 @@ def _monotone_assignments(lattice, lower):
             pos -= 1
             continue
         values[pos] = nxt
+        if rows is not None:
+            high = join_t[highs[pos]][nxt]
+            failed = fails[pos] | rows(pos, values, _LIVE[fails[pos]], high)
+            if not _LIVE[failed]:
+                continue  # settled: ii..vi fail on every completion
         if pos + 1 == size:
             yield tuple(values)
         else:
             pos += 1
+            if rows is not None:
+                fails[pos] = failed
+                highs[pos] = high
             iters[pos] = iter(ups[_floor(join_t, lower[pos], values)])
 
 
@@ -118,57 +136,10 @@ def iter_monotone_tables(lattice, n):
     yield from _monotone_assignments(lattice, grid_map(lattice, n, "lower covers"))
 
 
-def _settled_walk(lattice, n):
-    """Every monotone table as iter_monotone_tables gives it, each with a
-    flag: True when rows over its prefixes already fail conditions ii..vi.
-
-    The all-bottom table comes first, unflagged, and the rows are built
-    only after it: its full report charges the budget for them.  Each
-    later position runs the rows whose last read it fixes, unless the
-    prefix before it has settled all five verdicts.
-    """
-    join_t = lattice._join_t
-    ups = [tuple(lattice.upset_ids(v)) for v in range(lattice.m)]
-    lower = grid_map(lattice, n, "lower covers")
-    size = len(lower)
-    values = [0] * size
-    yield tuple(values), False
-    failures = grid_map(lattice, n, "prefix rows")
-    # fails[p], highs[p]: the failed sub-checks of the prefix before
-    # position p, and the join of its values
-    fails = [0] * size
-    highs = [0] * size
-    # resume after the all-bottom table: every position has tried bottom
-    iters = [iter(ups[0][1:]) for _ in range(size)]
-    pos = size - 1
-    while pos >= 0:
-        nxt = next(iters[pos], None)
-        if nxt is None:
-            pos -= 1
-            continue
-        values[pos] = nxt
-        failed = fails[pos]
-        high = join_t[highs[pos]][nxt]
-        live = _LIVE[failed]
-        if live:
-            failed |= failures(pos, values, live, high)
-        if pos + 1 == size:
-            yield tuple(values), not _LIVE[failed]
-        else:
-            pos += 1
-            fails[pos] = failed
-            highs[pos] = high
-            iters[pos] = iter(ups[_floor(join_t, lower[pos], values)])
-
-
 def count_monotone_tables(lattice, n, stop_after=None):
     """Number of order-preserving tables; stops early past `stop_after`."""
-    count = 0
-    for _ in iter_monotone_tables(lattice, n):
-        count += 1
-        if stop_after is not None and count > stop_after:
-            return count
-    return count
+    stop = None if stop_after is None else stop_after + 1
+    return sum(1 for _ in islice(iter_monotone_tables(lattice, n), stop))
 
 
 def random_monotone_table(lattice, n, rng):
@@ -318,6 +289,22 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _reported_tables(lattice, n, closure):
+    """The closure members and the tables the prefix rows leave unsettled,
+    in lexicographic order, the walk's.
+
+    The all-bottom table, a constant, comes first, and the rows are built
+    only after it: its full report charges the budget for them.  A closure
+    member that the rows settle, or one that is not monotone, is still
+    given: either means the oracle is broken.
+    """
+    bottom = (0,) * lattice.m**n
+    yield bottom
+    lower = grid_map(lattice, n, "lower covers")
+    unsettled = _monotone_assignments(lattice, lower, grid_map(lattice, n, "prefix rows"))
+    yield from sorted(closure.union(unsettled) - {bottom})
+
+
 # rough per-table cost of running every condition checker, in units of
 # |L|^n point evaluations; used only to pick exhaustive vs sampled mode
 _COST_FACTOR = 12
@@ -331,11 +318,11 @@ def verify_equivalence(lattice, n, budget=None, seed=0, max_sample=1000):
     bug (the equivalence is a theorem), so callers should treat a non-empty
     inconsistency list as a failure.
 
-    An exhaustive run walks the tables depth-first and gives the full
-    evaluate_all_conditions report to the first table, to every table the
-    rows over its prefixes leave unsettled, and to every closure member;
-    the others fail all five conditions and are only counted.  A sampled
-    run reports every table in full.
+    An exhaustive run counts every table and gives the full
+    evaluate_all_conditions report to every closure member and to every
+    table that the rows over its prefixes leave unsettled, in the walk's
+    order; the others fail all five conditions and are only counted.  A
+    sampled run reports every table in full.
     """
     allowed = resolve_budget(budget)
     closure = _closure_values(lattice, n, budget)
@@ -344,26 +331,21 @@ def verify_equivalence(lattice, n, budget=None, seed=0, max_sample=1000):
     total = count_monotone_tables(lattice, n, stop_after=max_tables)
     if total <= max_tables:
         mode = "exhaustive"
-        source = _settled_walk(lattice, n)
+        checked = total
+        tables = _reported_tables(lattice, n, closure)
         used_seed = None
     else:
         mode = "sampled"
         rng = random.Random(seed)
         used_seed = seed
-        source = (
-            (random_monotone_table(lattice, n, rng), False)
-            for _ in range(min(max_sample, max_tables))
-        )
+        checked = min(max_sample, max_tables)
+        tables = (random_monotone_table(lattice, n, rng) for _ in range(checked))
 
-    checked = 0
     polynomial_count = 0
     inconsistencies = []
-    for values, settled in source:
-        checked += 1
+    for values in tables:
         polynomial = values in closure
         polynomial_count += polynomial
-        if settled and not polynomial:
-            continue  # consistent: ii..vi all fail
         f = FunctionTable(lattice, n, values)
         report = evaluate_all_conditions(f, budget=budget, known_polynomial=polynomial)
         if not report.consistent:

@@ -34,9 +34,9 @@ from latpoly import (
     report_lines,
     substitute,
 )
-from latpoly.conditions import _BIT, _SUB_CHECKS, grid_map
+from latpoly.conditions import _BIT, _SUB_CHECKS, CONDITION_IDS, grid_map
 from latpoly.errors import BudgetExceededError, HypothesisViolatedError
-from latpoly.oracle import closure_polynomials, iter_monotone_tables
+from latpoly.oracle import _monotone_assignments, closure_polynomials, iter_monotone_tables
 
 
 def step_table(chain3):
@@ -678,7 +678,7 @@ def test_one_element_lattice_builds_no_diagonals():
     assert ("grid", "diagonals", 20) not in lat._cache
 
 
-@pytest.mark.parametrize(
+PREFIX_ROW_CASES = pytest.mark.parametrize(
     "make, n, stride",
     [
         (lambda: chain(3), 2, 1),
@@ -690,6 +690,9 @@ def test_one_element_lattice_builds_no_diagonals():
     ],
     ids=["chain3-2", "chain2-3", "B2-2", "N5-1", "M3-1", "chain2xchain3-1"],
 )
+
+
+@PREFIX_ROW_CASES
 def test_prefix_rows_fail_only_sub_checks_that_fail(make, n, stride):
     # verify_equivalence takes a failing row as a failure of its sub-check
     # on every completion of the prefix, so on each monotone table every
@@ -707,3 +710,17 @@ def test_prefix_rows_fail_only_sub_checks_that_fail(make, n, stride):
         for p, v in enumerate(values):
             high = lat.join(high, v)
             assert failures(p, values, every, high) & ~failing == 0, (values, p)
+
+
+@PREFIX_ROW_CASES
+def test_tables_the_pruned_walk_skips_fail_every_condition(make, n, stride):
+    # verify_equivalence only counts the monotone tables that the walk with
+    # prefix rows skips, so each of them must fail ii..vi
+    lat = make()
+    evaluate_all_conditions(FunctionTable(lat, n, [0] * lat.m**n))  # charges the rows' budget
+    lower = grid_map(lat, n, "lower covers")
+    unsettled = set(_monotone_assignments(lat, lower, grid_map(lat, n, "prefix rows")))
+    for values in itertools.islice(iter_monotone_tables(lat, n), 0, None, stride):
+        if values not in unsettled:
+            f = FunctionTable(lat, n, values)
+            assert not any(check_condition(f, cond)[0] for cond in CONDITION_IDS), values

@@ -31,13 +31,14 @@ from latpoly import (
     verify_equivalence,
 )
 from latpoly.budget import resolve_budget
+from latpoly.conditions import grid_map
 from latpoly.errors import BudgetExceededError, NotDistributiveError, NotNonDistributiveError
 from latpoly.oracle import (
     _COST_FACTOR,
     FunctionSet,
     VerificationReport,
     _closure_values,
-    _settled_walk,
+    _monotone_assignments,
 )
 from latpoly.terms import Const, Var
 
@@ -446,9 +447,11 @@ def test_verify_refuses_as_the_per_table_loop():
     for verify in (naive_verify_equivalence, verify_equivalence):
         with pytest.raises(BudgetExceededError, match=message):
             verify(lat, 4, budget=15)
+        # the refused first report comes before the prefix rows are built
+        assert ("grid", "prefix rows", 4) not in lat._cache
 
 
-def test_settled_subtrees_still_test_membership_leaf_by_leaf():
+def test_settled_subtrees_walk_no_leaf():
     # plant a fault in the closure: drop the projection x1 and add a
     # non-polynomial table whose first four values already fail ii..vi
     lat = boolean(2)
@@ -457,16 +460,35 @@ def test_settled_subtrees_still_test_membership_leaf_by_leaf():
     planted = (0, 0, 0, top) * 4
     closure = _closure_values(lat, 2, None)
     assert dropped in closure and planted not in closure
-    below_prefix = [s for v, s in _settled_walk(lat, 2) if v[:4] == planted[:4]]
-    assert len(below_prefix) > 1 and all(below_prefix)
+    evaluate_all_conditions(FunctionTable(lat, 2, [0] * 16))  # charges the rows' budget
+    walk = _monotone_assignments(
+        lat, grid_map(lat, 2, "lower covers"), grid_map(lat, 2, "prefix rows")
+    )
+    assert all(v[:4] != planted[:4] for v in walk)
+    assert sum(v[:4] == planted[:4] for v in iter_monotone_tables(lat, 2)) > 1
     lat._cache[("closure", 2)] = (closure - {dropped}) | {planted}
     expected = naive_verify_equivalence(lat, 2)
     assert [values for values, _ in expected.inconsistencies] == [dropped, planted]
     assert verify_equivalence(lat, 2) == expected
 
 
+def test_verify_reports_a_non_monotone_closure_member():
+    # a broken oracle that holds a non-monotone table: the per-table loop
+    # never meets it, since it walks only the monotone tables
+    lat = boolean(2)
+    top = lat.top_id
+    planted = (top,) * 15 + (0,)
+    closure = _closure_values(lat, 2, None)
+    lat._cache[("closure", 2)] = closure | {planted}
+    report = verify_equivalence(lat, 2)
+    assert (report.checked, report.polynomial_count) == (28_224, 37)
+    assert [values for values, _ in report.inconsistencies] == [planted]
+    (_, entry), = report.inconsistencies
+    assert entry.polynomial and not entry.order_preserving and not entry.entries["ii"].holds
+
+
 def test_format_text_lists_each_inconsistent_table():
-    # the planted fault of test_settled_subtrees_still_test_membership_leaf_by_leaf,
+    # the planted fault of test_settled_subtrees_walk_no_leaf,
     # as the CLI prints it
     lat = boolean(2)
     top = lat.top_id
@@ -492,9 +514,16 @@ def test_verify_chain3_ternary_exhaustive_at_a_lifted_budget(chain3):
     assert report.inconsistencies == []
 
 
-def test_settled_walk_gives_the_monotone_tables(b2, chain3):
+def test_the_walk_without_rows_gives_the_monotone_tables(b2, chain3):
     for lat, n in ((b2, 2), (chain3, 2)):
-        assert [v for v, _ in _settled_walk(lat, n)] == list(iter_monotone_tables(lat, n))
+        lower = grid_map(lat, n, "lower covers")
+        tables = list(iter_monotone_tables(lat, n))
+        assert list(_monotone_assignments(lat, lower)) == tables
+        # with rows: a subsequence, in the same order
+        evaluate_all_conditions(FunctionTable(lat, n, [0] * lat.m**n))  # charges the rows' budget
+        pruned = iter(tables)
+        for values in _monotone_assignments(lat, lower, grid_map(lat, n, "prefix rows")):
+            assert values in pruned
 
 
 # -- witness search ---------------------------------------------------------
