@@ -50,10 +50,6 @@ class ConditionEntry:
     holds: bool | None
     witness: Witness | None = None
 
-    @property
-    def skipped(self):
-        return self.holds is None
-
 
 @dataclass
 class ConditionReport:
@@ -318,11 +314,12 @@ def check_range_convexity(f, budget=None):
 
 
 def _delta_failures(f, budget=None):
-    """First meet- and join-preservation failures over the diagonals of f
-    and of every constant-substitution of f (repeated diagonals skipped).
-
-    Returns a pair (meet_failure, join_failure); each is None or
-    (diagonal_position, Witness).
+    """The first failures of meet- and join-preservation over the diagonals
+    of f and of every constant-substitution of f (repeated diagonals
+    skipped), in scan order: diagonals in grid_map order, meet before join
+    on each.  Returns a dict with "meet" and "join" mapped to the first
+    failure of each and "both" to the earlier of the two; a key is absent
+    when that preservation holds.
     """
     lat = f.lattice
     n = f.arity
@@ -330,27 +327,28 @@ def _delta_failures(f, budget=None):
     subset_masks(n)  # the arity rule comes before the budget
     ensure_budget(len(vals) * (1 << n), budget, "diagonal preservation scan")
     if lat.m == 1:
-        return None, None  # no pairs u < v, so no diagonal to build
+        return {}  # no pairs u < v, so no diagonal to build
     meet_t, join_t = lat._meet_t, lat._join_t
-    meet_fail = None
-    join_fail = None
+    fails = {}
     seen = set()
-    for pos, row in enumerate(grid_map(lat, n, "diagonals")):
+    for row in grid_map(lat, n, "diagonals"):
         d = row(vals)
         if d in seen:
             continue
         seen.add(d)
-        if meet_fail is None:
+        if "meet" not in fails:
             bad = _unpreserved_pair(d, meet_t)
             if bad is not None:
-                meet_fail = (pos, Witness(x=bad, eq="delta-meet"))
-        if join_fail is None:
+                fails["meet"] = Witness(x=bad, eq="delta-meet")
+        if "join" not in fails:
             bad = _unpreserved_pair(d, join_t)
             if bad is not None:
-                join_fail = (pos, Witness(x=bad, eq="delta-join"))
-        if meet_fail is not None and join_fail is not None:
+                fails["join"] = Witness(x=bad, eq="delta-join")
+        if len(fails) == 2:
             break
-    return meet_fail, join_fail
+    if fails:
+        fails["both"] = next(iter(fails.values()))  # the first one found
+    return fails
 
 
 def _unpreserved_pair(d, op):
@@ -368,36 +366,22 @@ def check_delta_preservation(f, which="both", budget=None):
     meet, join, or both?"""
     if which not in ("meet", "join", "both"):
         raise InvalidParamsError(f"which must be 'meet', 'join', or 'both', got {which!r}")
-    mf, jf = _delta_failures(f, budget=budget)
-    if which == "meet":
-        fail = mf
-    elif which == "join":
-        fail = jf
-    else:
-        fail = _earlier(mf, jf)
-    return (fail is None), (fail[1] if fail else None)
-
-
-def _earlier(mf, jf):
-    if mf is None:
-        return jf
-    if jf is None:
-        return mf
-    return mf if mf[0] <= jf[0] else jf
+    w = _delta_failures(f, budget=budget).get(which)
+    return (w is None), w
 
 
 # -- composite conditions ----------------------------------------------------
 
 
-def _delta_sub_check(select):
-    """A delta verdict from the pair of _delta_failures, which is kept in
-    the memo so that the diagonal scan runs at most once per table."""
+def _delta_sub_check(which):
+    """The delta verdict for key `which` of _delta_failures, whose dict is
+    kept in the memo so that the diagonal scan runs at most once per table."""
 
     def check(f, budget, scope, memo):
         if "delta" not in memo:
             memo["delta"] = _delta_failures(f, budget=budget)
-        fail = select(*memo["delta"])
-        return (fail is None), (fail[1] if fail else None)
+        w = memo["delta"].get(which)
+        return (w is None), w
 
     return check
 
@@ -421,8 +405,8 @@ _SUB_CHECKS = {
     "hor_join": ("(4d)", lambda f, budget, scope, memo: check_horizontal(f, "join", budget)),
     "idem": ("(5)", lambda f, budget, scope, memo: check_range_idempotency(f, budget)),
     "convex": (None, lambda f, budget, scope, memo: check_range_convexity(f, budget)),
-    "delta_both": (None, _delta_sub_check(_earlier)),
-    "delta_join": (None, _delta_sub_check(lambda mf, jf: jf)),
+    "delta_both": (None, _delta_sub_check("both")),
+    "delta_join": (None, _delta_sub_check("join")),
 }
 
 # sub-checks per condition, in the order the equivalence states them

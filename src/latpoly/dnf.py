@@ -105,6 +105,8 @@ def dnf_evaluate(alpha, point):
     coeffs = alpha.coeffs
     acc = coeffs[0]
     for mask in range(1, len(coeffs)):
+        if acc == top:
+            break
         v = coeffs[mask]
         if v == bottom:
             continue
@@ -116,8 +118,6 @@ def dnf_evaluate(alpha, point):
                 break
             b &= b - 1
         acc = join_t[acc][v]
-        if acc == top:
-            break
     return acc
 
 

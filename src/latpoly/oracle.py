@@ -310,9 +310,10 @@ def _reported_tables(lattice, n, closure):
 _COST_FACTOR = 12
 
 
-def verify_equivalence(lattice, n, budget=None, seed=0, max_sample=1000):
+def verify_equivalence(lattice, n, budget=None, seed=0):
     """Check that conditions ii..vi and closure membership agree on every
-    order-preserving table (a seeded sample when that is over budget).
+    order-preserving table (a seeded sample of at most 1,000 tables when
+    that is over budget).
 
     Any disagreement on a distributive lattice indicates an implementation
     bug (the equivalence is a theorem), so callers should treat a non-empty
@@ -338,7 +339,7 @@ def verify_equivalence(lattice, n, budget=None, seed=0, max_sample=1000):
         mode = "sampled"
         rng = random.Random(seed)
         used_seed = seed
-        checked = min(max_sample, max_tables)
+        checked = min(1000, max_tables)
         tables = (random_monotone_table(lattice, n, rng) for _ in range(checked))
 
     polynomial_count = 0

@@ -5,10 +5,11 @@ import weakref
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latpoly import (
+    FiniteLattice,
     FunctionTable,
     boolean,
     build_from_covers,
@@ -258,16 +259,22 @@ SMALL_FACTOR_PAIRS = [
 ]
 
 
+@st.composite
+def downset_lattices(draw):
+    """The downset lattice of a poset on 1-4 points (distributive)."""
+    p = draw(st.integers(1, 4))
+    names = [f"p{i}" for i in range(p)]
+    pairs = draw(st.sets(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))))
+    return downset_lattice(names, [(names[a], names[b]) for a, b in pairs if a < b])
+
+
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_closure_matches_naive_closure_on_drawn_lattices(data):
     if data.draw(st.booleans()):
         lat = product(*data.draw(st.sampled_from(SMALL_FACTOR_PAIRS)))
     else:
-        p = data.draw(st.integers(1, 4))
-        names = [f"p{i}" for i in range(p)]
-        pairs = data.draw(st.sets(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))))
-        lat = downset_lattice(names, [(names[a], names[b]) for a, b in pairs if a < b])
+        lat = data.draw(downset_lattices())
     assert closure_polynomials(lat, 1).value_tuples() == naive_closure(lat, 1)
 
 
@@ -602,3 +609,75 @@ def test_refused_searches_build_no_point_space(search):
     with pytest.raises(BudgetExceededError):
         search(lat, 3000)
     assert ("space", 3000) not in lat._cache
+
+
+# -- generated lattices ---------------------------------------------------------
+#
+# Every finite distributive lattice is the downset lattice of a poset
+# (Birkhoff), and every finite lattice is an intersection-closed family of
+# subsets of some set that contains the whole set.  Drawing both kinds
+# cross-checks verify, the clone closure, the normal forms and the witness
+# search away from the named fixtures.
+
+
+def family_lattice(sets):
+    """The subsets of a 4-point set given as bit masks in `sets`, closed
+    under intersection together with the full set, ordered by inclusion."""
+    family = {0b1111}
+    for s in sets:
+        family |= {s & t for t in family}
+    members = sorted(family)
+    return FiniteLattice(
+        "family",
+        [format(s, "04b") for s in members],
+        [[a & b == a for b in members] for a in members],
+    )
+
+
+# downset lattices, or intersection-closed families of distinct subsets,
+# which reach the non-distributive lattices
+generated_lattices = st.one_of(
+    downset_lattices(),
+    st.lists(st.integers(1, 0b1110), min_size=2, max_size=3, unique=True).map(family_lattice),
+)
+
+
+def check_routes_agree(lat, max_distributive, max_other, max_binary):
+    """verify equals the per-table loop at n=1, and at n=2 on at most
+    `max_binary` elements.  On a distributive lattice no table is
+    inconsistent and the clone closure equals the normal-form enumeration;
+    otherwise the unary witness search for c finds nothing exactly when no
+    table's verdict for c differs from its polynomial verdict."""
+    assume(lat.m <= (max_distributive if lat.distributive else max_other))
+    budget = 10**9  # exhaustive on every kept draw
+    for n in (1, 2) if lat.m <= max_binary else (1,):
+        expected = naive_verify_equivalence(lat, n, budget=budget)
+        assert expected.mode == "exhaustive"
+        assert verify_equivalence(lat, n, budget=budget) == expected
+        if lat.distributive:
+            assert expected.inconsistencies == []
+            assert enumerate_polynomials_distributive(lat, n, budget=budget) == (
+                closure_polynomials(lat, n, budget=budget)
+            )
+        elif n == 1:
+            for c in ("iii", "iv", "v", "vi"):
+                differs = any(r.entries[c].holds != r.polynomial for _, r in expected.inconsistencies)
+                found = find_nondistributive_witness(lat, 1, c, budget=budget)
+                assert (found is None) == (not differs)
+
+
+# the pentagon and the diamond, the two non-distributive lattices of five
+# elements, as families, so that every run meets both
+@given(lat=generated_lattices)
+@example(lat=family_lattice([0b0001, 0b0011, 0b0100]))
+@example(lat=family_lattice([0b0001, 0b0010, 0b0100]))
+@settings(max_examples=100, deadline=None)
+def test_routes_agree_on_generated_lattices(lat):
+    check_routes_agree(lat, max_distributive=6, max_other=5, max_binary=3)
+
+
+@pytest.mark.slow
+@given(lat=generated_lattices)
+@settings(max_examples=300, deadline=None)
+def test_routes_agree_on_generated_lattices_deep(lat):
+    check_routes_agree(lat, max_distributive=7, max_other=7, max_binary=4)
