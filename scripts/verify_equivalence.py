@@ -5,11 +5,12 @@ For every order-preserving table on each fixture, all five functional
 characterizations and clone-closure membership are evaluated and compared;
 any disagreement on a distributive lattice would be an implementation bug.
 
-verify_equivalence walks the tables depth-first and runs each equation
-instance once, on the prefix that fixes its last read.  Every closure
-member and every table whose prefixes leave some condition undecided get
-the full report of all checkers; the walk does not extend a prefix on
-which all five conditions fail, so the tables below it are only counted.
+verify_equivalence counts the tables by memoised completions, to pick
+its mode, and then walks them depth-first, running each equation instance
+once, on the prefix that fixes its last read.  Every closure member and
+every table whose prefixes leave some condition undecided get the full
+report of all checkers; the walk does not extend a prefix on which all
+five conditions fail, so the tables below it are never built.
 The loop that reports every table in full stays in tests/test_oracle.py
 as naive_verify_equivalence, the reference the walk is compared against.
 """

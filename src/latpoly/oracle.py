@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
 
 from .budget import ensure_budget, resolve_budget
 from .conditions import _LIVE, check_condition, evaluate_all_conditions, grid_map
@@ -137,9 +136,52 @@ def iter_monotone_tables(lattice, n):
 
 
 def count_monotone_tables(lattice, n, stop_after=None):
-    """Number of order-preserving tables; stops early past `stop_after`."""
-    stop = None if stop_after is None else stop_after + 1
-    return sum(1 for _ in islice(iter_monotone_tables(lattice, n), stop))
+    """Number of order-preserving tables, or stop_after + 1 once it is past
+    `stop_after`.
+
+    A depth-first count over the grid positions that memoises the number
+    of monotone completions of each prefix.  That number depends only on
+    the prefix's key: the position p it stops before and the floors of the
+    positions active there (the "completion steps" grid map).  A running
+    total adds 1 for each table and the stored count for each key met
+    again, so it counts the tables in the enumeration's order, and the
+    count stops as soon as it passes `stop_after`.  No recursion: an
+    explicit stack holds one key per position, like _monotone_assignments.
+    """
+    steps = grid_map(lattice, n, "completion steps")
+    join_t = lattice._join_t
+    ups = [tuple(lattice.upset_ids(v)) for v in range(lattice.m)]
+    size = len(steps)
+    limit = float("inf") if stop_after is None else stop_after
+    memo = [{} for _ in steps] + [{(): 1}]
+    keys = [(0,)] * size
+    iters = [iter(ups[0])] + [None] * (size - 1)
+    starts = [0] * size  # the running total when each key was entered
+    total = 0
+    pos = 0
+    while pos >= 0:
+        _, keep, fed, new = steps[pos]
+        key = keys[pos]
+        kept = [key[i] for i in keep]
+        below = memo[pos + 1]
+        for v in iters[pos]:
+            join_v = join_t[v]
+            child = (*kept, *[join_v[key[i]] for i in fed], *(v,) * new)
+            got = below.get(child)
+            if got is None:
+                break
+            total += got
+            if total > limit:
+                return stop_after + 1
+        else:  # every completion of this key is counted
+            memo[pos][key] = total - starts[pos]
+            pos -= 1
+            continue
+        pos += 1
+        keys[pos] = child
+        starts[pos] = total
+        iters[pos] = iter(ups[child[steps[pos][0]]])
+    return total
 
 
 def random_monotone_table(lattice, n, rng):
@@ -319,11 +361,13 @@ def verify_equivalence(lattice, n, budget=None, seed=0):
     bug (the equivalence is a theorem), so callers should treat a non-empty
     inconsistency list as a failure.
 
-    An exhaustive run counts every table and gives the full
-    evaluate_all_conditions report to every closure member and to every
-    table that the rows over its prefixes leave unsettled, in the walk's
-    order; the others fail all five conditions and are only counted.  A
-    sampled run reports every table in full.
+    count_monotone_tables, which memoises the completions of each prefix
+    instead of walking the tables, picks the mode and gives `checked`.  An
+    exhaustive run then gives the full evaluate_all_conditions report to
+    every closure member and to every table that the rows over its
+    prefixes leave unsettled, in the walk's order; the others fail all
+    five conditions and are never built.  A sampled run reports every
+    table in full.
     """
     allowed = resolve_budget(budget)
     closure = _closure_values(lattice, n, budget)

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import time
 import weakref
 from collections import deque
 
@@ -85,12 +86,13 @@ def naive_closure(lat, n):
 def naive_verify_equivalence(lattice, n, budget=None, seed=0, max_sample=1000):
     """Run every condition checker on every table; the slow reference for
     verify_equivalence, which skips the checkers where rows over a prefix
-    already fail all five conditions."""
+    already fail all five conditions.  It picks its mode by counting its
+    own enumeration, not with the memoised count_monotone_tables."""
     allowed = resolve_budget(budget)
     closure = _closure_values(lattice, n, budget)
     sp = lattice.point_space(n)
     max_tables = max(1, allowed // (sp.size * _COST_FACTOR))
-    total = count_monotone_tables(lattice, n, stop_after=max_tables)
+    total = sum(1 for _ in itertools.islice(iter_monotone_tables(lattice, n), max_tables + 1))
     if total <= max_tables:
         mode = "exhaustive"
         source = iter_monotone_tables(lattice, n)
@@ -162,6 +164,35 @@ def test_count_monotone_stops_early(chain3):
     assert count_monotone_tables(chain3, 1, stop_after=4) == 5
 
 
+@pytest.mark.parametrize(
+    "name, n",
+    [("chain2", n) for n in range(5)]
+    + [("chain3", n) for n in (1, 2, 3)]
+    + [("B2", 1), ("B2", 2), ("chain4", 2), ("N5", 1), ("M3", 1)],
+)
+def test_count_equals_the_enumeration_at_every_stop(name, n):
+    lat = CLOSURE_LATTICES[name]()
+    total = sum(1 for _ in iter_monotone_tables(lat, n))
+    assert count_monotone_tables(lat, n) == total
+    for stop in (0, 1, total - 1, total, total + 1):
+        assert count_monotone_tables(lat, n, stop_after=stop) == min(total, stop + 1)
+
+
+def test_count_on_a_deep_grid_needs_no_recursion():
+    # 1,600 positions, one stack level each
+    assert count_monotone_tables(chain(40), 2, stop_after=520) == 521
+
+
+@pytest.mark.parametrize("make", [n5, m3])
+def test_count_stops_at_the_verify_bound(make):
+    # the mode choice at budget 10**9 on 25 points: 10**9 // (25 * 12)
+    # tables; enumerating them one by one takes about 7 s, this count 0.05 s
+    lat = make()
+    start = time.perf_counter()
+    assert count_monotone_tables(lat, 2, stop_after=3_333_333) == 3_333_334
+    assert time.perf_counter() - start < 5
+
+
 def test_random_monotone_table_is_monotone_and_seeded(chain3):
     values = random_monotone_table(chain3, 2, random.Random(42))
     assert values == random_monotone_table(chain3, 2, random.Random(42))
@@ -216,6 +247,7 @@ def test_pentagon_closure_strictly_exceeds_med_forms(pentagon):
 CLOSURE_LATTICES = {
     "chain2": lambda: chain(2),
     "chain3": lambda: chain(3),
+    "chain4": lambda: chain(4),
     "B2": lambda: boolean(2),
     "N5": n5,
     "M3": m3,
@@ -458,6 +490,15 @@ def test_verify_refuses_as_the_per_table_loop():
         assert ("grid", "prefix rows", 4) not in lat._cache
 
 
+@pytest.mark.parametrize("make", [n5, m3])
+def test_verify_refused_by_the_closure_builds_no_step_table(make):
+    lat = make()
+    message = "^clone closure needs 10001400 point evaluations but the budget allows 10000000$"
+    with pytest.raises(BudgetExceededError, match=message):
+        verify_equivalence(lat, 2)
+    assert ("grid", "completion steps", 2) not in lat._cache
+
+
 def test_settled_subtrees_walk_no_leaf():
     # plant a fault in the closure: drop the projection x1 and add a
     # non-polynomial table whose first four values already fail ii..vi
@@ -653,6 +694,7 @@ def check_routes_agree(lat, max_distributive, max_other, max_binary):
     for n in (1, 2) if lat.m <= max_binary else (1,):
         expected = naive_verify_equivalence(lat, n, budget=budget)
         assert expected.mode == "exhaustive"
+        assert count_monotone_tables(lat, n) == expected.checked
         assert verify_equivalence(lat, n, budget=budget) == expected
         if lat.distributive:
             assert expected.inconsistencies == []
