@@ -136,35 +136,6 @@ def _lower_covers(lat, n):
     return tuple(map(tuple, lower))
 
 
-def _completion_steps(lat, n):
-    """steps[p] = (at, keep, fed, new) for counting monotone completions.
-
-    Once the positions before p are fixed, a position q is active if
-    q == p or one of its lower covers comes before p, and its floor is the
-    join of its fixed lower covers.  The floors of the active positions,
-    in a fixed order, make the key of p; fixing value v at p gives the key
-    of p + 1 as key[keep...], then v joined with key[fed...], then `new`
-    copies of v (the positions whose first lower cover is p).  key[at] is
-    the floor of p itself.
-    """
-    lower = grid_map(lat, n, "lower covers")
-    uppers = [[] for _ in lower]
-    for q, below in enumerate(lower):
-        for i in below:
-            uppers[i].append(q)
-    active = [0]
-    steps = []
-    for p, above in enumerate(uppers):
-        index = {q: i for i, q in enumerate(active)}
-        feeds = set(above)
-        keep = tuple(i for i, q in enumerate(active) if q != p and q not in feeds)
-        fed = tuple(index[q] for q in above if q in index)
-        new = [q for q in above if q not in index]
-        steps.append((index[p], keep, fed, len(new)))
-        active = [active[i] for i in keep + fed] + new
-    return tuple(steps)
-
-
 _GRID_KINDS = {
     # meet and join are commutative, so row c of their tables is d -> d op c
     "meet": lambda lat, n: _unary_maps(lat, n, lat._meet_t),
@@ -185,7 +156,6 @@ _GRID_KINDS = {
         for c in lat.covers_up[xk]
     ),
     "lower covers": _lower_covers,
-    "completion steps": _completion_steps,
     "diagonals": _diagonal_rows,
     "prefix rows": lambda lat, n: _prefix_rows(lat, n),
 }

@@ -141,32 +141,43 @@ def count_monotone_tables(lattice, n, stop_after=None):
 
     A depth-first count over the grid positions that memoises the number
     of monotone completions of each prefix.  That number depends only on
-    the prefix's key: the position p it stops before and the floors of the
-    positions active there (the "completion steps" grid map).  A running
-    total adds 1 for each table and the stored count for each key met
-    again, so it counts the tables in the enumeration's order, and the
-    count stops as soon as it passes `stop_after`.  No recursion: an
-    explicit stack holds one key per position, like _monotone_assignments.
+    the position p the prefix stops before and on the floors of the later
+    positions, the join of the values fixed at their lower covers.  A
+    cover (i, k, j) jumps at most W = max(j - i) positions, so only the
+    floors of p .. p+W-1 can be above bottom: they are the key.  Fixing v
+    at p drops the key's first floor, appends bottom, and joins v into the
+    floors of p's upper covers, at offsets j - p - 1.  A running total
+    adds 1 for each table and the stored count for each key met again, so
+    it counts the tables in the enumeration's order, and the count stops
+    as soon as it passes `stop_after`.  No recursion: an explicit stack
+    holds one key per position, like _monotone_assignments.
     """
-    steps = grid_map(lattice, n, "completion steps")
+    covers = grid_map(lattice, n, "covers")
     join_t = lattice._join_t
     ups = [tuple(lattice.upset_ids(v)) for v in range(lattice.m)]
-    size = len(steps)
+    size = lattice.m**n
+    offsets = [[] for _ in range(size)]
+    for i, _, j in covers:
+        offsets[i].append(j - i - 1)
+    bottoms = (0,) * max((j - i for i, _, j in covers), default=1)
     limit = float("inf") if stop_after is None else stop_after
-    memo = [{} for _ in steps] + [{(): 1}]
-    keys = [(0,)] * size
+    memo = [{} for _ in range(size)] + [{bottoms: 1}]
+    keys = [bottoms] * size
     iters = [iter(ups[0])] + [None] * (size - 1)
     starts = [0] * size  # the running total when each key was entered
     total = 0
     pos = 0
     while pos >= 0:
-        _, keep, fed, new = steps[pos]
         key = keys[pos]
-        kept = [key[i] for i in keep]
+        shifted = [*key[1:], 0]
+        fed = offsets[pos]
         below = memo[pos + 1]
         for v in iters[pos]:
             join_v = join_t[v]
-            child = (*kept, *[join_v[key[i]] for i in fed], *(v,) * new)
+            child = shifted.copy()
+            for o in fed:
+                child[o] = join_v[child[o]]
+            child = tuple(child)
             got = below.get(child)
             if got is None:
                 break
@@ -180,7 +191,7 @@ def count_monotone_tables(lattice, n, stop_after=None):
         pos += 1
         keys[pos] = child
         starts[pos] = total
-        iters[pos] = iter(ups[child[steps[pos][0]]])
+        iters[pos] = iter(ups[child[0]])
     return total
 
 
