@@ -196,7 +196,15 @@ def count_monotone_tables(lattice, n, stop_after=None):
 
 
 def random_monotone_table(lattice, n, rng):
-    """One order-preserving table drawn with a seeded generator."""
+    """One order-preserving table drawn with a seeded generator.
+
+    The draw is sequential, not uniform: each value is chosen uniformly
+    from the up-set of the join of the values at its lower covers, so
+    top at the all-bottom point, with probability 1/|L|, fixes the whole
+    table, and draws repeat tables.  On chain3 n=3, 1,000 draws at seeds
+    0, 1, 7, 11 and 1324 hold only 280-315 distinct tables, and 317-357
+    of the draws are the constant-top table.
+    """
     join_t = lattice._join_t
     ups = [tuple(lattice.upset_ids(v)) for v in range(lattice.m)]
     lower = grid_map(lattice, n, "lower covers")
@@ -377,8 +385,11 @@ def verify_equivalence(lattice, n, budget=None, seed=0):
     exhaustive run then gives the full evaluate_all_conditions report to
     every closure member and to every table that the rows over its
     prefixes leave unsettled, in the walk's order; the others fail all
-    five conditions and are never built.  A sampled run reports every
-    table in full.
+    five conditions and are never built.  A sampled run gives one full
+    report per distinct draw: a repeated draw is counted again, and listed
+    again if inconsistent, with the report of its first draw, since a
+    report depends only on the values, their closure membership and the
+    budget.
     """
     allowed = resolve_budget(budget)
     closure = _closure_values(lattice, n, budget)
@@ -399,13 +410,16 @@ def verify_equivalence(lattice, n, budget=None, seed=0):
 
     polynomial_count = 0
     inconsistencies = []
+    verdicts = {}  # values -> the report if inconsistent, None if consistent
     for values in tables:
         polynomial = values in closure
         polynomial_count += polynomial
-        f = FunctionTable(lattice, n, values)
-        report = evaluate_all_conditions(f, budget=budget, known_polynomial=polynomial)
-        if not report.consistent:
-            inconsistencies.append((values, report))
+        if values not in verdicts:
+            f = FunctionTable(lattice, n, values)
+            report = evaluate_all_conditions(f, budget=budget, known_polynomial=polynomial)
+            verdicts[values] = None if report.consistent else report
+        if verdicts[values] is not None:
+            inconsistencies.append((values, verdicts[values]))
     return VerificationReport(
         lattice_name=lattice.name,
         arity=n,

@@ -440,6 +440,48 @@ def test_verify_sampled_mode_is_seeded(chain3):
     assert "sampled seed=9" in r1.format_text()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_verify_lists_each_repeated_inconsistent_draw(seed):
+    # 50 draws on M3 n=1, most of them inconsistent, some tables drawn
+    # more than once: each draw is listed, as the per-table loop lists it
+    lat = m3()
+    closure_polynomials(lat, 1)
+    expected = naive_verify_equivalence(lat, 1, budget=3000, seed=seed)
+    assert (expected.mode, expected.checked) == ("sampled", 50)
+    listed = [values for values, _ in expected.inconsistencies]
+    assert len(set(listed)) < len(listed)
+    assert verify_equivalence(lat, 1, budget=3000, seed=seed) == expected
+
+
+def counting_reports(monkeypatch):
+    """Count the calls verify_equivalence makes to evaluate_all_conditions."""
+    calls = []
+
+    def counted(f, **kwargs):
+        calls.append(f.values)
+        return evaluate_all_conditions(f, **kwargs)
+
+    monkeypatch.setattr("latpoly.oracle.evaluate_all_conditions", counted)
+    return calls
+
+
+def test_sampled_verify_reports_each_distinct_draw_once(monkeypatch, chain3):
+    rng = random.Random(0)
+    draws = [random_monotone_table(chain3, 3, rng) for _ in range(1000)]
+    calls = counting_reports(monkeypatch)
+    report = verify_equivalence(chain3, 3, seed=0)
+    assert (report.mode, report.checked) == ("sampled", 1000)
+    assert calls == list(dict.fromkeys(draws))
+    assert len(calls) == 303
+
+
+def test_exhaustive_verify_reports_each_reported_table_once(monkeypatch, b2):
+    calls = counting_reports(monkeypatch)
+    report = verify_equivalence(b2, 2)
+    assert (report.mode, report.checked) == ("exhaustive", 28_224)
+    assert len(calls) == len(set(calls)) == 163
+
+
 VERIFY_LATTICES = {
     "chain2": lambda: chain(2),
     "chain3": lambda: chain(3),
