@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import filterfalse, islice, repeat
+from operator import and_
 
 from .budget import ensure_budget, resolve_budget
 from .conditions import _LIVE, check_condition, evaluate_all_conditions, grid_map
@@ -27,16 +29,24 @@ from .terms import FunctionTable
 class FunctionSet:
     """Deduplicated set of same-arity tables over one lattice.
 
-    Iteration is canonical (ascending table encoding); membership accepts a
-    FunctionTable or a raw value tuple.
+    The set holds value tuples and builds a FunctionTable for each only
+    when it is iterated.  Iteration is canonical (ascending table
+    encoding); membership accepts a FunctionTable or a raw value tuple.
     """
 
     def __init__(self, lattice, arity, tables=()):
         self.lattice = lattice
         self.arity = arity
-        self._by_values = {}
+        self._values = set()
         for t in tables:
             self.add(t)
+
+    @classmethod
+    def _of_values(cls, lattice, arity, values):
+        """The set of `values`, tuples already known to be valid tables."""
+        out = cls(lattice, arity)
+        out._values = set(values)
+        return out
 
     def add(self, table):
         if not isinstance(table, FunctionTable):
@@ -45,29 +55,29 @@ class FunctionSet:
             raise InvalidParamsError(
                 f"table arity {table.arity} differs from the set arity {self.arity}"
             )
-        self._by_values.setdefault(table.values, table)
+        self._values.add(table.values)
 
     def __contains__(self, item):
         values = item.values if isinstance(item, FunctionTable) else tuple(item)
-        return values in self._by_values
+        return values in self._values
 
     def __iter__(self):
-        for values in sorted(self._by_values):
-            yield self._by_values[values]
+        for values in sorted(self._values):
+            yield FunctionTable(self.lattice, self.arity, values)
 
     def __len__(self):
-        return len(self._by_values)
+        return len(self._values)
 
     def __eq__(self, other):
         return (
             isinstance(other, FunctionSet)
             and self.lattice is other.lattice
             and self.arity == other.arity
-            and self._by_values.keys() == other._by_values.keys()
+            and self._values == other._values
         )
 
     def value_tuples(self):
-        return frozenset(self._by_values)
+        return frozenset(self._values)
 
     def __repr__(self):
         return f"FunctionSet(n={self.arity}, size={len(self)})"
@@ -220,11 +230,40 @@ def random_monotone_table(lattice, n, rng):
 def closure_polynomials(lattice, n, budget=None):
     """All polynomial functions L^n -> L, by closing the projections and
     constants under pointwise meet and join.  Valid on any lattice."""
-    return FunctionSet(lattice, n, _closure_values(lattice, n, budget))
+    return FunctionSet._of_values(lattice, n, _closure_values(lattice, n, budget))
 
 
 def _closure_values(lattice, n, budget):
     """The value tuples of closure_polynomials, computed once per arity.
+
+    Each known table t is kept with two keys of bit planes.  up(t) has a
+    plane for each join-irreducible j (one lower cover), set at the points
+    x where j <= t[x], and down(t) one for each meet-irreducible a, set
+    where t[x] <= a.  Each determines t, as every element is the join of
+    the join-irreducibles below it and the meet of the meet-irreducibles
+    above it, and in any lattice up(t ^ s) = up(t) & up(s) and
+    down(t v s) = down(t) & down(s).  With k planes, point x holds the bits
+    x*k .. x*k+k-1, and a new key is read back through a dict from k-bit
+    chunk to element; a one-element lattice, with no irreducibles, keeps
+    the plane of its bottom.
+
+    No pair of known tables is combined.  For a set F of tables holding
+    the constants, a point x and a join-irreducible j, let mu(x, j) be the
+    meet of the t in F with j <= t[x].  A mu(x, j) with j <= t[x] is below
+    t, and mu(x, j)[x] >= j, so every t in F is the join of those mu(x, j)
+    (the bottom constant of none).  The same holds for s ^ t, as each
+    mu(x, j) with j <= s[x] ^ t[x] is below both s and t.  So if F holds
+    every mu(x, j) and is closed under joins with each of them, F is
+    closed under joins and under meets.  The loop joins each new table
+    with the current mu.  When no table is pending it recomputes the mu,
+    in one pass over each point's values, adds those not yet known, and
+    joins each new one with every known table.  It stops when a pass finds
+    no new mu: F then holds all its own mu and was joined with each.
+
+    The table that gets position p is charged |L|^n * p * (p + 1) when it
+    is created, what meeting and joining it with each table before it
+    would cost.  So a closure of N tables is charged |L|^n * N * (N - 1),
+    and a refused one stops as soon as it grows past the budget.
 
     The lattice's cache keeps only this frozenset of tuples, nothing that
     refers back to the lattice, so a dropped lattice is freed at once.
@@ -238,14 +277,6 @@ def _closure_values(lattice, n, budget):
     ensure_budget(size * (n + m), budget, "clone generator construction")
     strides = lattice.point_space(n).strides
 
-    # bit planes: up(t) has a plane for each join-irreducible j (one lower
-    # cover), set at the points x where j <= t[x], and down(t) one for each
-    # meet-irreducible a, set where t[x] <= a.  Each determines t, as every
-    # element is the join of the join-irreducibles below it and the meet of
-    # the meet-irreducibles above it, and in any lattice
-    # up(t ^ s) = up(t) & up(s) and down(t v s) = down(t) & down(s).  With k
-    # planes, point x holds the bits x*k .. x*k+k-1; a one-element lattice,
-    # with no irreducibles, keeps the plane of its bottom
     leq, covers_down, covers_up = lattice._leq, lattice.covers_down, lattice.covers_up
     joins = [j for j in range(m) if len(covers_down[j]) == 1] or [0]
     meets = [a for a in range(m) if len(covers_up[a]) == 1] or [0]
@@ -255,35 +286,72 @@ def _closure_values(lattice, n, budget):
     def pack(t, cols):
         return int("".join(map(cols.__getitem__, reversed(t))), 2)
 
-    # the known tables are also the worklist: the table at position p is
-    # met and joined with each table before it, so every pair is combined
-    # once (t ^ t = t v t = t), and new tables go to the end of the lists
-    known = list(dict.fromkeys(
+    def unpacker(cols):
+        k = len(cols[0])
+        width = f"0{size * k}b"
+        element = {tuple(c): v for v, c in enumerate(cols)}.__getitem__
+        return lambda key: tuple(map(element, zip(*[iter(format(key, width))] * k)))[::-1]
+
+    from_up, from_down = unpacker(up_cols), unpacker(down_cols)
+    known, ups, downs = [], [], []
+    at_up, seen_down = {}, set()  # up key -> position, and the down keys
+
+    def place(t, up, down):
+        p = len(known)
+        ensure_budget(size * p * (p + 1), budget, "clone closure")
+        known.append(t)
+        ups.append(up)
+        downs.append(down)
+        at_up[up] = p
+        seen_down.add(down)
+
+    def add_joins(keys):
+        for d in filterfalse(seen_down.__contains__, keys):
+            t = from_down(d)
+            place(t, pack(t, up_cols), d)
+
+    for t in dict.fromkeys(
         [tuple(i // s % m for i in range(size)) for s in strides]
         + [(c,) * size for c in range(m)]
-    ))
-    ups = [pack(t, up_cols) for t in known]
-    downs = [pack(t, down_cols) for t in known]
-    seen_up, seen_down = set(ups), set(downs)
+    ):
+        place(t, pack(t, up_cols), pack(t, down_cols))
 
-    def add(u):
-        known.append(u)
-        ups.append(pack(u, up_cols))
-        downs.append(pack(u, down_cols))
-        seen_up.add(ups[-1])
-        seen_down.add(downs[-1])
+    # the AND over an up-set gathers from the upper covers, higher ids first
+    steps = [(v, c) for v in reversed(range(m)) for c in covers_up[v]]
+    no_up = (1 << size * len(joins)) - 1
 
-    meet_t, join_t = lattice._meet_t, lattice._join_t
-    ops = 0
-    for p, t in enumerate(known):
-        ops += 2 * size * p
-        ensure_budget(ops, budget, "clone closure")
-        up_t, down_t = ups[p], downs[p]
-        for s, up_s, down_s in zip(known[:p], ups[:p], downs[:p]):
-            if up_t & up_s not in seen_up:
-                add(tuple([meet_t[a][b] for a, b in zip(t, s)]))
-            if down_t & down_s not in seen_down:
-                add(tuple([join_t[a][b] for a, b in zip(t, s)]))
+    def mus():
+        """The positions of every mu(x, j), in one pass over each point's
+        values; a mu not yet known is placed at once."""
+        found = {}
+        for col in zip(*known):
+            lo = [no_up] * m
+            for v, u in zip(col, ups):
+                lo[v] &= u
+            for v, c in steps:
+                lo[v] &= lo[c]
+            for u in map(lo.__getitem__, joins):
+                if u not in at_up:
+                    t = from_up(u)
+                    place(t, u, pack(t, down_cols))
+                found[at_up[u]] = None
+        return found
+
+    # every table before position `done` has been joined with each of
+    # `gens`, the down keys of the current mu
+    gens = {}
+    done = len(known)
+    while True:
+        fresh = dict.fromkeys(map(downs.__getitem__, mus()))
+        new = [g for g in fresh if g not in gens]
+        if not new:
+            break
+        gens = fresh
+        for g in new:
+            add_joins(map(and_, repeat(g), islice(downs, done)))
+        while done < len(known):
+            add_joins(map(and_, repeat(downs[done]), gens))
+            done += 1
     result = lattice._cache[key] = frozenset(known)
     return result
 

@@ -256,6 +256,12 @@ CLOSURE_LATTICES = {
     "M4": lambda: build_from_covers(
         "M4", ["0", "a", "b", "c", "d", "1"], [("0", a) for a in "abcd"] + [(a, "1") for a in "abcd"]
     ),
+    "M3xchain2": lambda: product(m3(), chain(2)),
+    # 7 elements whose unary closure (102 tables) takes three generator
+    # passes that find a new mu, and a fourth that finds none
+    "family7": lambda: family_lattice([0b0001, 0b0011, 0b0101, 0b1010]),
+    "chain64": lambda: chain(64),
+    "chain128": lambda: chain(128),
 }
 
 # N5 n=2 is charged 347,542,800 evaluations and M4 n=1 12,260,820, both
@@ -276,11 +282,19 @@ def pentagon_binary():
     [("chain2", n) for n in range(4)]
     + [("chain3", n) for n in range(3)]
     + [("B2", 1), ("B2", 2), ("N5", 1), ("M3", 1)]
-    + [("one", n) for n in range(3)],
+    + [("one", n) for n in range(3)]
+    + [("M3xchain2", 1), ("family7", 1)],
 )
 def test_closure_matches_naive_closure(name, n):
     lat = CLOSURE_LATTICES[name]()
     assert closure_polynomials(lat, n).value_tuples() == naive_closure(lat, n)
+
+
+@pytest.mark.slow
+def test_closure_matches_naive_closure_past_the_default_budget():
+    lat = CLOSURE_LATTICES["M4"]()
+    closure = closure_polynomials(lat, 1, budget=LIFTED_BUDGET)
+    assert closure.value_tuples() == naive_closure(lat, 1)
 
 
 # factor pairs with products of at most 12 elements; M3 x chain2 alone has
@@ -329,6 +343,20 @@ def test_closure_charges_each_pair_once(name, polys):
     ):
         closure_polynomials(lat, 1, budget=charge - 1)
     assert len(closure_polynomials(lat, 1, budget=charge)) == polys
+
+
+@pytest.mark.parametrize(
+    "name, charge", [("M4", 10_007_832), ("chain64", 10_010_880), ("chain128", 10_071_040)]
+)
+def test_closure_refused_as_it_grows_past_the_default_budget(name, charge):
+    # the table at position p is charged |L| * p * (p + 1) when it is
+    # created, so the refusal names the first position past the budget
+    with pytest.raises(
+        BudgetExceededError,
+        match=f"^clone closure needs {charge} point evaluations "
+        "but the budget allows 10000000$",
+    ):
+        closure_polynomials(CLOSURE_LATTICES[name](), 1)
 
 
 def test_closure_sizes_past_the_default_budget(pentagon_binary):
@@ -395,6 +423,13 @@ def test_function_set_iteration_is_sorted(chain3):
     cl = closure_polynomials(chain3, 1)
     values = [f.values for f in cl]
     assert values == sorted(values)
+
+
+def test_closure_set_is_a_copy_of_the_cached_closure(chain3):
+    cl = closure_polynomials(chain3, 1)
+    cl.add((2, 0, 1))
+    assert (2, 0, 1) in cl and len(cl) == 7
+    assert len(closure_polynomials(chain3, 1)) == 6
 
 
 def test_function_set_contains(chain2):
