@@ -539,7 +539,8 @@ def _prefix_rows(lat, n):
     vals[0..p] whose values join to `high`.
 
     The rows hold O(|L|^(n+1) * n) ints, like the maps the checkers read,
-    so a table's full report charges the budget for them first.
+    so verify builds them after a table's full report has charged the
+    budget, and the witness search after charging |L|^n + 1 tables or more.
     """
     m, top = lat.m, lat.top_id
     meet_t, join_t, leq = lat._meet_t, lat._join_t, lat._leq

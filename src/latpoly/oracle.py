@@ -86,6 +86,13 @@ class FunctionSet:
 # -- monotone table enumeration ----------------------------------------------
 
 
+def _upsets(lattice):
+    """ups[v]: the ids above v, ascending; built once, in the lattice's cache."""
+    if ("upsets",) not in lattice._cache:
+        lattice._cache[("upsets",)] = tuple(tuple(lattice.upset_ids(v)) for v in range(lattice.m))
+    return lattice._cache[("upsets",)]
+
+
 def _floor(join_t, below, values):
     """The join of the values at the positions `below`."""
     lo = 0
@@ -108,7 +115,7 @@ def _monotone_assignments(lattice, lower, rows=None):
     unsettled.
     """
     join_t = lattice._join_t
-    ups = [tuple(lattice.upset_ids(v)) for v in range(lattice.m)]
+    ups = _upsets(lattice)
     size = len(lower)
     values = [0] * size
     iters = [None] * size
@@ -145,6 +152,12 @@ def iter_monotone_tables(lattice, n):
     yield from _monotone_assignments(lattice, grid_map(lattice, n, "lower covers"))
 
 
+def _unsettled_tables(lattice, n):
+    """The monotone tables that the prefix rows leave unsettled, in canonical order."""
+    lower = grid_map(lattice, n, "lower covers")
+    yield from _monotone_assignments(lattice, lower, grid_map(lattice, n, "prefix rows"))
+
+
 def count_monotone_tables(lattice, n, stop_after=None):
     """Number of order-preserving tables, or stop_after + 1 once it is past
     `stop_after`.
@@ -164,7 +177,7 @@ def count_monotone_tables(lattice, n, stop_after=None):
     """
     covers = grid_map(lattice, n, "covers")
     join_t = lattice._join_t
-    ups = [tuple(lattice.upset_ids(v)) for v in range(lattice.m)]
+    ups = _upsets(lattice)
     size = lattice.m**n
     offsets = [[] for _ in range(size)]
     for i, _, j in covers:
@@ -216,7 +229,7 @@ def random_monotone_table(lattice, n, rng):
     of the draws are the constant-top table.
     """
     join_t = lattice._join_t
-    ups = [tuple(lattice.upset_ids(v)) for v in range(lattice.m)]
+    ups = _upsets(lattice)
     lower = grid_map(lattice, n, "lower covers")
     values = [0] * len(lower)
     for i, below in enumerate(lower):
@@ -429,14 +442,22 @@ def _reported_tables(lattice, n, closure):
     """
     bottom = (0,) * lattice.m**n
     yield bottom
-    lower = grid_map(lattice, n, "lower covers")
-    unsettled = _monotone_assignments(lattice, lower, grid_map(lattice, n, "prefix rows"))
-    yield from sorted(closure.union(unsettled) - {bottom})
+    yield from sorted(closure.union(_unsettled_tables(lattice, n)) - {bottom})
 
 
-# rough per-table cost of running every condition checker, in units of
-# |L|^n point evaluations; used only to pick exhaustive vs sampled mode
-_COST_FACTOR = 12
+_COST_FACTOR = 12  # a rough price of one table's full report, in |L|^n evaluations
+
+
+def _count_within_budget(lattice, n, budget, what=None):
+    """(total, max_tables): the budget allows max_tables >= 1 full reports
+    at |L|^n * _COST_FACTOR each, and the monotone tables are counted up to
+    max_tables + 1.  With `what`, the counted tables are charged for `what`."""
+    per_table = lattice.m**n * _COST_FACTOR
+    max_tables = max(1, resolve_budget(budget) // per_table)
+    total = count_monotone_tables(lattice, n, stop_after=max_tables)
+    if what is not None:
+        ensure_budget(total * per_table, budget, what)
+    return total, max_tables
 
 
 def verify_equivalence(lattice, n, budget=None, seed=0):
@@ -448,22 +469,17 @@ def verify_equivalence(lattice, n, budget=None, seed=0):
     bug (the equivalence is a theorem), so callers should treat a non-empty
     inconsistency list as a failure.
 
-    count_monotone_tables, which memoises the completions of each prefix
-    instead of walking the tables, picks the mode and gives `checked`.  An
-    exhaustive run then gives the full evaluate_all_conditions report to
-    every closure member and to every table that the rows over its
-    prefixes leave unsettled, in the walk's order; the others fail all
-    five conditions and are never built.  A sampled run gives one full
-    report per distinct draw: a repeated draw is counted again, and listed
-    again if inconsistent, with the report of its first draw, since a
-    report depends only on the values, their closure membership and the
-    budget.
+    count_monotone_tables gives `checked` and, by the rule the witness
+    search refuses by, the mode.  An exhaustive run gives the full
+    evaluate_all_conditions report to every closure member and to every
+    table that the rows over its prefixes leave unsettled, in the walk's
+    order; the others fail all five conditions and are never built.  A
+    sampled run reports each distinct draw once: a report depends only on
+    the values, their closure membership and the budget, so a repeated
+    draw is counted, and listed if inconsistent, with its first report.
     """
-    allowed = resolve_budget(budget)
     closure = _closure_values(lattice, n, budget)
-    sp = lattice.point_space(n)
-    max_tables = max(1, allowed // (sp.size * _COST_FACTOR))
-    total = count_monotone_tables(lattice, n, stop_after=max_tables)
+    total, max_tables = _count_within_budget(lattice, n, budget)
     if total <= max_tables:
         mode = "exhaustive"
         checked = total
@@ -515,7 +531,12 @@ class NondistributiveWitness:
 
 def find_nondistributive_witness(lattice, n, condition, budget=None):
     """Search for a failure of the polynomiality equivalence on a
-    non-distributive lattice; returns None when the scan finds nothing."""
+    non-distributive lattice; returns None when the search finds nothing.
+
+    It returns the first closure member that violates `condition`; if none
+    does, it is refused where verify_equivalence would sample, or returns
+    the first non-member satisfying `condition` in verify's pruned walk,
+    which keeps every such table."""
     if condition not in ("iii", "iv", "v", "vi"):
         raise InvalidParamsError(
             f"condition must be one of iii, iv, v, vi; got {condition!r}"
@@ -525,22 +546,15 @@ def find_nondistributive_witness(lattice, n, condition, budget=None):
             f"lattice {lattice.name!r} is distributive, so no witness can exist"
         )
     closure = _closure_values(lattice, n, budget)
-    sp = lattice.point_space(n)
-
     for values in sorted(closure):
         f = FunctionTable(lattice, n, values)
         ok, witness = check_condition(f, condition, budget=budget)
         if not ok:
             return NondistributiveWitness(condition, "polynomial-violates", f, witness)
 
-    ops = 0
-    for values in iter_monotone_tables(lattice, n):
-        ops += sp.size * _COST_FACTOR
-        ensure_budget(ops, budget, "witness search")
-        if values in closure:
-            continue
+    _count_within_budget(lattice, n, budget, "witness search")
+    for values in filterfalse(closure.__contains__, _unsettled_tables(lattice, n)):
         f = FunctionTable(lattice, n, values)
-        ok, _ = check_condition(f, condition, budget=budget)
-        if ok:
+        if check_condition(f, condition, budget=budget)[0]:
             return NondistributiveWitness(condition, "nonpolynomial-satisfies", f, None)
     return None

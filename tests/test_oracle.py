@@ -1,9 +1,13 @@
 import gc
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 import weakref
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -32,12 +36,13 @@ from latpoly import (
     random_monotone_table,
     verify_equivalence,
 )
-from latpoly.budget import resolve_budget
+from latpoly.budget import ensure_budget, resolve_budget
 from latpoly.conditions import grid_map
 from latpoly.errors import BudgetExceededError, NotDistributiveError, NotNonDistributiveError
 from latpoly.oracle import (
     _COST_FACTOR,
     FunctionSet,
+    NondistributiveWitness,
     VerificationReport,
     _closure_values,
     _monotone_assignments,
@@ -128,6 +133,29 @@ def naive_verify_equivalence(lattice, n, budget=None, seed=0, max_sample=1000):
         polynomial_count=polynomial_count,
         inconsistencies=inconsistencies,
     )
+
+
+def naive_witness(lattice, n, condition, budget=None):
+    """Check the closure members, then every monotone table, each charged
+    |L|^n * _COST_FACTOR as it is met; the slow reference for
+    find_nondistributive_witness, which counts the tables up front and
+    checks only those the prefix rows leave unsettled."""
+    closure = _closure_values(lattice, n, budget)
+    for values in sorted(closure):
+        f = FunctionTable(lattice, n, values)
+        ok, witness = check_condition(f, condition, budget=budget)
+        if not ok:
+            return NondistributiveWitness(condition, "polynomial-violates", f, witness)
+    ops = 0
+    for values in iter_monotone_tables(lattice, n):
+        ops += lattice.m**n * _COST_FACTOR
+        ensure_budget(ops, budget, "witness search")
+        if values in closure:
+            continue
+        f = FunctionTable(lattice, n, values)
+        if check_condition(f, condition, budget=budget)[0]:
+            return NondistributiveWitness(condition, "nonpolynomial-satisfies", f, None)
+    return None
 
 
 def med_form_tables(lat):
@@ -709,6 +737,33 @@ def test_witness_search_second_phase_on_a_planted_closure(cond):
     assert find_nondistributive_witness(lat, 1, cond) is None
 
 
+def satisfying_members(lat, n, cond):
+    """The closure members that satisfy cond: planted as the closure, they
+    leave the first phase of the witness search nothing to find."""
+    return frozenset(
+        values
+        for values in _closure_values(lat, n, LIFTED_BUDGET)
+        if check_condition(FunctionTable(lat, n, values), cond)[0]
+    )
+
+
+@pytest.mark.parametrize("cond", ["iii", "iv", "v", "vi"])
+def test_witness_search_walks_the_unsettled_binary_tables(pentagon_binary, cond):
+    # 31,022,611 monotone tables, which the count stops past
+    # 10**9 // (25 * 12) = 3,333,333 before the rows are built; at 10**10
+    # the walk leaves 1,176 of them, and none outside the closure satisfies cond
+    lat = n5()
+    lat._cache[("closure", 2)] = satisfying_members(pentagon_binary, 2, cond)
+    with pytest.raises(
+        BudgetExceededError,
+        match="^witness search needs 1000000200 point evaluations "
+        "but the budget allows 1000000000$",
+    ):
+        find_nondistributive_witness(lat, 2, cond, budget=10**9)
+    assert ("grid", "prefix rows", 2) not in lat._cache
+    assert find_nondistributive_witness(lat, 2, cond, budget=10**10) is None
+
+
 def test_witness_search_rejects_distributive(chain4):
     with pytest.raises(NotNonDistributiveError):
         find_nondistributive_witness(chain4, 1, "iv")
@@ -728,6 +783,35 @@ def test_refused_searches_build_no_point_space(search):
     with pytest.raises(BudgetExceededError):
         search(lat, 3000)
     assert ("space", 3000) not in lat._cache
+
+
+# -- scripts ------------------------------------------------------------------
+
+
+def run_script(name):
+    """The standard output of scripts/<name>, which must exit 0."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / name)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_hunt_witnesses_script_counts_both_directions():
+    assert (
+        "census N5 n=2 iv: polynomial-violates 3706 of 3729, "
+        "nonpolynomial-satisfies 0 of 1059 unsettled"
+    ) in run_script("hunt_witnesses.py")
+
+
+def test_verify_equivalence_script_finds_no_inconsistency():
+    assert "checked=28224 polynomial=36 inconsistent=0" in run_script("verify_equivalence.py")
 
 
 # -- generated lattices ---------------------------------------------------------
@@ -766,7 +850,9 @@ def check_routes_agree(lat, max_distributive, max_other, max_binary):
     `max_binary` elements.  On a distributive lattice no table is
     inconsistent and the clone closure equals the normal-form enumeration;
     otherwise the unary witness search for c finds nothing exactly when no
-    table's verdict for c differs from its polynomial verdict."""
+    table's verdict for c differs from its polynomial verdict, and it
+    equals naive_witness, also on an empty closure and on the closure
+    members that satisfy c."""
     assume(lat.m <= (max_distributive if lat.distributive else max_other))
     budget = 10**9  # exhaustive on every kept draw
     for n in (1, 2) if lat.m <= max_binary else (1,):
@@ -780,10 +866,18 @@ def check_routes_agree(lat, max_distributive, max_other, max_binary):
                 closure_polynomials(lat, n, budget=budget)
             )
         elif n == 1:
+            closure = _closure_values(lat, 1, budget)
             for c in ("iii", "iv", "v", "vi"):
                 differs = any(r.entries[c].holds != r.polynomial for _, r in expected.inconsistencies)
                 found = find_nondistributive_witness(lat, 1, c, budget=budget)
                 assert (found is None) == (not differs)
+                assert found == naive_witness(lat, 1, c, budget=budget)
+                # planted closures send the search past its first phase
+                for planted in (frozenset(), satisfying_members(lat, 1, c)):
+                    lat._cache[("closure", 1)] = planted
+                    found = find_nondistributive_witness(lat, 1, c, budget=budget)
+                    assert found == naive_witness(lat, 1, c, budget=budget)
+                lat._cache[("closure", 1)] = closure
 
 
 # the pentagon and the diamond, the two non-distributive lattices of five
