@@ -12,6 +12,10 @@ vector of I; on a distributive lattice a function equals the normal form
 of its own alpha_f exactly when it is a polynomial function, which makes
 that round trip the designated polynomiality test here.
 
+A normal form is evaluated as its term ``dnf_to_term``, which drops only
+what x meet 1 = x, x join 0 = x, associativity and commutativity allow, so
+it denotes the normal form on every lattice.
+
 The representations of a polynomial f on a distributive lattice are the
 maps alpha with alpha^- <= alpha <= alpha_f pointwise, where alpha^-(I)
 joins the join-irreducibles j for which I is a minimal subset with
@@ -24,8 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product
+from itertools import compress, count, islice, product, tee
 from math import prod
+from operator import ne
 
 from .budget import ensure_budget
 from .errors import (
@@ -35,7 +40,7 @@ from .errors import (
     NotDistributiveError,
     NotPolynomialError,
 )
-from .terms import Const, Var, evaluate, make_join, make_meet
+from .terms import Const, Var, _tabulate, evaluate, make_join, make_meet
 
 MAX_DNF_VARS = 20
 
@@ -99,26 +104,12 @@ def dnf_evaluate(alpha, point):
         raise ArityMismatchError(
             f"point has arity {len(point)}, coefficient map has {alpha.arity}"
         )
-    lat = alpha.lattice
-    meet_t, join_t = lat._meet_t, lat._join_t
-    bottom, top = lat.bottom_id, lat.top_id
-    coeffs = alpha.coeffs
-    acc = coeffs[0]
-    for mask in range(1, len(coeffs)):
-        if acc == top:
-            break
-        v = coeffs[mask]
-        if v == bottom:
-            continue
-        b = mask
-        while b:
-            k = (b & -b).bit_length() - 1
-            v = meet_t[v][point[k]]
-            if v == bottom:
-                break
-            b &= b - 1
-        acc = join_t[acc][v]
-    return acc
+    return evaluate(alpha.lattice, dnf_to_term(alpha), point)
+
+
+def _first_difference(lattice, term, points, values):
+    """Index of the first of `points` where `term` differs from `values`, or None."""
+    return next(compress(count(), map(ne, _tabulate(lattice, term, points), values)), None)
 
 
 def dnf_membership(alpha, f, budget=None):
@@ -137,11 +128,7 @@ def dnf_membership(alpha, f, budget=None):
         return choices is not None and all(a in c for a, c in zip(alpha.coeffs, choices))
     sp = lat.point_space(f.arity)
     ensure_budget(sp.size, budget, "pointwise normal-form comparison")
-    vals = f.values
-    for i, x in enumerate(sp.iter_points()):
-        if dnf_evaluate(alpha, x) != vals[i]:
-            return False
-    return True
+    return _first_difference(lat, dnf_to_term(alpha), sp.iter_points(), f.values) is None
 
 
 def enumerate_dnf(f, mode="list", limit=None, budget=None):
@@ -233,11 +220,8 @@ def _reconstruction(f, budget):
     sp = lat.point_space(f.arity)
     ensure_budget(sp.size + (1 << f.arity), budget, "normal-form reconstruction")
     alpha = extract_alpha(f)
-    vals = f.values
-    for i, x in enumerate(sp.iter_points()):
-        if dnf_evaluate(alpha, x) != vals[i]:
-            return alpha, tuple(x)
-    return alpha, None
+    bad = _first_difference(lat, dnf_to_term(alpha), sp.iter_points(), f.values)
+    return alpha, None if bad is None else sp.decode(bad)
 
 
 def equivalent(lattice, t1, t2, arity, budget=None):
@@ -252,18 +236,18 @@ def equivalent(lattice, t1, t2, arity, budget=None):
         bottom, top = lattice.bottom_id, lattice.top_id
         masks = subset_masks(arity)
         ensure_budget(2 * len(masks), budget, "0/1 term comparison")
-        for mask in masks:
-            point = tuple(
-                top if mask >> k & 1 else bottom for k in range(arity)
-            )
-            if evaluate(lattice, t1, point) != evaluate(lattice, t2, point):
-                return False, point
-        return True, None
-    ensure_budget(2 * lattice.m ** arity, budget, "full-domain term comparison")
-    for x in lattice.point_space(arity).iter_points():
-        if evaluate(lattice, t1, x) != evaluate(lattice, t2, x):
-            return False, tuple(x)
-    return True, None
+
+        def point_at(i):
+            return tuple(top if masks[i] >> k & 1 else bottom for k in range(arity))
+
+        points = map(point_at, range(len(masks)))
+    else:
+        ensure_budget(2 * lattice.m ** arity, budget, "full-domain term comparison")
+        sp = lattice.point_space(arity)
+        points, point_at = sp.iter_points(), sp.decode
+    points, again = tee(points)
+    bad = _first_difference(lattice, t1, points, _tabulate(lattice, t2, again))
+    return (True, None) if bad is None else (False, point_at(bad))
 
 
 def dnf_to_lines(alpha):

@@ -17,13 +17,13 @@ from operator import and_
 
 from .budget import ensure_budget, resolve_budget
 from .conditions import _LIVE, check_condition, evaluate_all_conditions, grid_map
-from .dnf import DNFMap, dnf_evaluate, subset_masks
+from .dnf import DNFMap, dnf_to_term, subset_masks
 from .errors import (
     InvalidParamsError,
     NotDistributiveError,
     NotNonDistributiveError,
 )
-from .terms import FunctionTable
+from .terms import FunctionTable, materialize
 
 
 class FunctionSet:
@@ -394,7 +394,7 @@ def enumerate_polynomials_distributive(lattice, n, budget=None):
         alpha = DNFMap(lattice, n, coeffs)
         ops += sp.size * len(coeffs)
         ensure_budget(ops, budget, "normal-form image enumeration")
-        out.add(tuple(dnf_evaluate(alpha, x) for x in sp.iter_points()))
+        out.add(materialize(lattice, dnf_to_term(alpha), n, budget))
     return out
 
 

@@ -10,16 +10,21 @@ constants are quoted element names so one grammar serves every lattice)::
     VAR  := "x" [1-9][0-9]*
     CONST := "'" element-name "'"
 
-Meet/Join nodes are n-ary and flattened; the parser and the factory
-functions additionally sort children into a canonical order so that
-formatting is deterministic and ``parse(format(t)) == t`` on canonical
+Digits are ASCII.  Meet/Join nodes are n-ary and flattened; the parser and
+the factory functions additionally sort children into a canonical order so
+that formatting is deterministic and ``parse(format(t)) == t`` on canonical
 trees.
+
+One tabulator evaluates every term, a batch of points at a time, one column
+per coordinate: ``evaluate`` is a batch of one, ``materialize`` the grid.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
+from itertools import islice
 from itertools import product as iter_product
 
 from .budget import ensure_budget
@@ -161,7 +166,9 @@ def _tokenize(text):
             word = text[i:j]
             if word == "med":
                 tokens.append(("med", word, i))
-            elif word[0] == "x" and word[1:].isdigit():
+            elif word[0] == "x" and word[1:].isascii() and word[1:].isdigit():
+                if len(word) > 101:  # more digits than any arity, well within int()'s limit
+                    raise TermSyntaxError("variable index longer than 100 digits", position=i)
                 tokens.append(("var", int(word[1:]), i))
             else:
                 raise TermSyntaxError(
@@ -295,39 +302,47 @@ def _fmt(t, level):
 
 # -- evaluation ---------------------------------------------------------------
 
+# points tabulated at once: every column a term's nodes hold while they are
+# evaluated is at most this long, which bounds the memory of a tabulation
+# by the term's size, whatever the number of points
+_BATCH = 256
 
-def _eval(t, meet_t, join_t, point):
-    if isinstance(t, Var):
-        k = t.index
-        if k > len(point):
-            raise ArityMismatchError(
-                f"term uses x{k} but the point has arity {len(point)}"
-            )
-        return operator.index(point[k - 1])
-    if isinstance(t, Const):
-        return t.element.id
-    if isinstance(t, Meet):
-        it = iter(t.children)
-        acc = _eval(next(it), meet_t, join_t, point)
-        for c in it:
-            acc = meet_t[acc][_eval(c, meet_t, join_t, point)]
+
+def _tabulate(lattice, term, points):
+    """The values of `term` at `points`, tuples of ids, in their order.  Up
+    to _BATCH points are taken at a time as one column per coordinate, and
+    each node is evaluated over the whole column."""
+    meet_t, join_t = lattice._meet_t, lattice._join_t
+
+    def column(t):
+        if isinstance(t, Var):
+            if t.index <= len(cols):
+                return cols[t.index - 1]
+            raise ArityMismatchError(f"term uses x{t.index} but the point has arity {len(cols)}")
+        if isinstance(t, Const):
+            return [t.element.id] * len(batch)
+        if isinstance(t, Med):
+            a, b, c = map(column, t.children)
+            return [
+                meet_t[meet_t[join_t[x][y]][join_t[x][z]]][join_t[y][z]]
+                for x, y, z in zip(a, b, c)
+            ]
+        op = meet_t if isinstance(t, Meet) else join_t
+        acc = column(t.children[0])
+        for c in t.children[1:]:
+            acc = [op[x][y] for x, y in zip(acc, column(c))]
         return acc
-    if isinstance(t, Join):
-        it = iter(t.children)
-        acc = _eval(next(it), meet_t, join_t, point)
-        for c in it:
-            acc = join_t[acc][_eval(c, meet_t, join_t, point)]
-        return acc
-    a, b, c = t.children
-    va = _eval(a, meet_t, join_t, point)
-    vb = _eval(b, meet_t, join_t, point)
-    vc = _eval(c, meet_t, join_t, point)
-    return meet_t[meet_t[join_t[va][vb]][join_t[va][vc]]][join_t[vb][vc]]
+
+    points = iter(points)
+    while batch := list(islice(points, _BATCH)):
+        cols = list(zip(*batch))
+        yield from column(term)
 
 
 def evaluate(lattice, term, point):
     """Evaluate a term at a point (ids or Elements); returns an element id."""
-    return _eval(term, lattice._meet_t, lattice._join_t, point)
+    point = tuple(map(operator.index, point))
+    return next(_tabulate(lattice, term, [point]))
 
 
 # -- explicit tables ---------------------------------------------------------
@@ -378,9 +393,8 @@ class FunctionTable:
 def materialize(lattice, term, arity, budget=None):
     """Evaluate a term at every point of L^n, in canonical point order."""
     ensure_budget(lattice.m ** arity, budget, "term tabulation")
-    meet_t, join_t = lattice._meet_t, lattice._join_t
     points = lattice.point_space(arity).iter_points()
-    return FunctionTable(lattice, arity, (_eval(term, meet_t, join_t, p) for p in points))
+    return FunctionTable(lattice, arity, _tabulate(lattice, term, points))
 
 
 def substitute(f, k_indices, point):
@@ -433,47 +447,47 @@ def delta(f):
 def table_from_text(text, lattice, source="<table>"):
     arity = None
     entries = {}
-    sp = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
         if arity is None:
-            if tokens[0] != "table" or len(tokens) != 2 or not tokens[1].isdigit():
+            header = re.fullmatch(r"table\s+0*([0-9]+)", line)
+            if header is None:
                 raise FormatError("expected 'table <n>'", source, lineno)
-            arity = int(tokens[1])
+            # an entry line names `arity` coordinates, so no text shorter than
+            # the arity holds a whole table; this bounds the work by the text
+            if len(header[1]) > len(str(len(text))) or int(header[1]) > len(text):
+                raise FormatError("table arity exceeds the length of the text", source, lineno)
+            arity = int(header[1])
             if arity < 1:
                 raise FormatError("table arity must be >= 1", source, lineno)
-            sp = lattice.point_space(arity)
             continue
         if len(tokens) != arity + 2 or tokens[arity] != "->":
             raise FormatError(
                 f"expected {arity} point coordinates, '->', and a value", source, lineno
             )
         try:
-            coords = [lattice.element(nm).id for nm in tokens[:arity]]
+            coords = tuple(lattice.element(nm).id for nm in tokens[:arity])
             value = lattice.element(tokens[arity + 1]).id
         except UnknownElementError as exc:
             raise UnknownElementError(f"{source}:{lineno}: {exc}") from None
-        idx = sp.encode(coords)
-        if idx in entries:
+        if coords in entries:
             raise FormatError(
                 f"duplicate entry for point {lattice.format_point(coords)}",
                 source,
                 lineno,
             )
-        entries[idx] = value
+        entries[coords] = value
     if arity is None:
         raise FormatError("missing 'table <n>' header", source)
-    if len(entries) != sp.size:
-        idx = 0
-        while idx in entries:
-            idx += 1
-        raise FormatError(
-            f"missing entry for point {lattice.format_point(sp.decode(idx))}", source
-        )
-    return FunctionTable(lattice, arity, (entries[i] for i in range(sp.size)))
+    values = []
+    for x in iter_product(range(lattice.m), repeat=arity):
+        if x not in entries:
+            raise FormatError(f"missing entry for point {lattice.format_point(x)}", source)
+        values.append(entries[x])
+    return FunctionTable(lattice, arity, values)
 
 
 def table_to_text(f):

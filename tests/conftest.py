@@ -1,6 +1,62 @@
+import operator
+
 import pytest
 
 from latpoly import boolean, chain, m3, n5
+from latpoly.errors import ArityMismatchError
+from latpoly.terms import Const, Join, Meet, Var
+
+
+def naive_evaluate(lattice, term, point):
+    """A term's value at one point by recursion over the term, the
+    reference for the batched tabulation in latpoly.terms."""
+    meet_t, join_t = lattice._meet_t, lattice._join_t
+
+    def ev(t):
+        if isinstance(t, Var):
+            if t.index > len(point):
+                raise ArityMismatchError(
+                    f"term uses x{t.index} but the point has arity {len(point)}"
+                )
+            return operator.index(point[t.index - 1])
+        if isinstance(t, Const):
+            return t.element.id
+        if isinstance(t, (Meet, Join)):
+            op = meet_t if isinstance(t, Meet) else join_t
+            it = iter(t.children)
+            acc = ev(next(it))
+            for c in it:
+                acc = op[acc][ev(c)]
+            return acc
+        a, b, c = map(ev, t.children)
+        return meet_t[meet_t[join_t[a][b]][join_t[a][c]]][join_t[b][c]]
+
+    return ev(term)
+
+
+def naive_dnf_evaluate(alpha, point):
+    """The normal form of `alpha` at one point, joined summand by summand
+    straight from the coefficients; the reference for dnf_evaluate."""
+    lat = alpha.lattice
+    meet_t, join_t = lat._meet_t, lat._join_t
+    bottom, top = lat.bottom_id, lat.top_id
+    coeffs = alpha.coeffs
+    acc = coeffs[0]
+    for mask in range(1, len(coeffs)):
+        if acc == top:
+            break
+        v = coeffs[mask]
+        if v == bottom:
+            continue
+        b = mask
+        while b:
+            k = (b & -b).bit_length() - 1
+            v = meet_t[v][operator.index(point[k])]
+            if v == bottom:
+                break
+            b &= b - 1
+        acc = join_t[acc][v]
+    return acc
 
 
 @pytest.fixture(scope="session")

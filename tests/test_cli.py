@@ -154,6 +154,47 @@ def test_check_deeply_nested_term(capsys, chain3_file, depth, expected):
         )
 
 
+# a digit string too long for int() under the interpreter's default limit
+LONG_DIGITS = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        *(
+            (t, f"unexpected symbol {t!r} at position 0 (expected x<k>, 'name', or med(...))")
+            for t in ("x\u00b2", "x\u2460", "x1\u00b2", "x\u0663")
+        ),
+        ("x" + LONG_DIGITS, "variable index longer than 100 digits at position 0"),
+        ("x0", "x0 is out of range for arity 3"),
+    ],
+    ids=["superscript", "circled", "trailing-superscript", "arabic-indic", "5000-digits", "x0"],
+)
+def test_check_variable_indices_are_ascii_digits(capsys, chain3_file, term, message):
+    code = main(["check", "--lattice", str(chain3_file), "--arity", "3", "--term", term])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("table \u00b2", "expected 'table <n>'"),
+        ("table " + LONG_DIGITS, "table arity exceeds the length of the text"),
+        ("table 60000", "table arity exceeds the length of the text"),
+    ],
+    ids=["superscript", "5000-digits", "60000"],
+)
+def test_check_table_arity_is_ascii_digits_within_the_text(
+    capsys, chain3_file, tmp_path, header, message
+):
+    tbl = tmp_path / "f.tbl"
+    tbl.write_text(header + "\n", encoding="utf-8")
+    code = main(["check", "--lattice", str(chain3_file), "--arity", "1", "--table", str(tbl)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {tbl}:1: {message}\n"
+
+
 # -- normalize -----------------------------------------------------------------
 
 
@@ -452,6 +493,7 @@ FUZZ_TABLES = [
 ]
 FUZZ_TERMS = ["x1", "med(x1, 'm', x2)", "(x1 ^ x2) v 'a'", "x2 | ('b' & x1)", "'1'"]
 FUZZ_TOKENS = ["x1", "x0", "x3", "'m'", "'q'", "(", ")", "^", "v", "<", "->", "table", "#", ":", "-1"]
+FUZZ_TOKENS += ["x\u00b2", "\u00b2", "x" + LONG_DIGITS]  # digits that int() rejects
 COMMANDS = ("check", "normalize", "equiv", "dnf-count", "verify", "witness")
 
 

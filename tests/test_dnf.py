@@ -20,6 +20,7 @@ from latpoly import (
     downset_lattice,
     enumerate_dnf,
     equivalent,
+    evaluate,
     extract_alpha,
     format_subset,
     materialize,
@@ -40,15 +41,15 @@ from latpoly.errors import (
     NotDistributiveError,
     NotPolynomialError,
 )
-from latpoly.terms import FunctionTable
+from latpoly.terms import _BATCH, Const, FunctionTable, Var, make_meet
+
+from conftest import naive_dnf_evaluate, naive_evaluate
 
 
 def brute_force_table(lat, term, n):
-    """Point-by-point evaluation, independent of materialize's loop."""
-    from latpoly import evaluate
-
+    """Point-by-point evaluation, independent of materialize's tabulation."""
     sp = lat.point_space(n)
-    return tuple(evaluate(lat, term, x) for x in sp.iter_points())
+    return tuple(naive_evaluate(lat, term, x) for x in sp.iter_points())
 
 
 # -- subset order ---------------------------------------------------------
@@ -465,6 +466,9 @@ def test_equivalent_witness(chain2):
     t2 = parse_term("x2", chain2, 2)
     equal, witness = equivalent(chain2, t1, t2, 2)
     assert not equal and witness == (1, 0)
+    # 0/1 points are compared in subset_masks order: {3} comes before {1,2}
+    t1 = parse_term("x1 & x2 | x3", chain2, 3)
+    assert equivalent(chain2, t1, parse_term("'0'", chain2, 3), 3) == (False, (0, 0, 1))
 
 
 def test_equivalent_full_domain_on_non_distributive(pentagon):
@@ -510,6 +514,55 @@ def test_zero_one_restriction_determines_terms(data, chain3):
     fast, _ = equivalent(chain3, t1, t2, 3)
     full = brute_force_table(chain3, t1, 3) == brute_force_table(chain3, t2, 3)
     assert fast == full
+
+
+# -- the tabulator at its edges ---------------------------------------------------
+
+
+def test_arity_zero(chain3, pentagon):
+    for lat in (chain3, pentagon):
+        c = lat.elements[1]
+        f = materialize(lat, Const(c), 0)
+        assert f.values == (c.id,)
+        assert evaluate(lat, Const(c), ()) == c.id
+        assert equivalent(lat, Const(c), Const(c), 0) == (True, None)
+        assert equivalent(lat, Const(c), Const(lat.elements[0]), 0) == (False, ())
+        alpha = DNFMap(lat, 0, [c.id])
+        assert dnf_evaluate(alpha, ()) == naive_dnf_evaluate(alpha, ()) == c.id
+        assert dnf_membership(alpha, f)
+        assert not dnf_membership(DNFMap(lat, 0, [lat.top_id]), f)
+    assert reconstruct(materialize(chain3, Const(chain3.elements[1]), 0)) == (True, None)
+
+
+def test_differences_past_the_first_batch(chain2, pentagon):
+    # meeting every variable differs from the constant 0 only at points
+    # the first batch of the grid does not reach
+    for lat, n in ((chain2, 10), (pentagon, 6)):
+        sp = lat.point_space(n)
+        meet_all = make_meet([Var(k) for k in range(1, n + 1)])
+        zero = Const(lat.elements[0])
+        f = materialize(lat, meet_all, n)
+        assert f.values == brute_force_table(lat, meet_all, n)
+        first = next(x for x, v in zip(sp.iter_points(), f.values) if v != 0)
+        assert sp.encode(first) >= _BATCH
+        assert equivalent(lat, meet_all, zero, n) == (False, first)
+        values = list(f.values)
+        if lat.distributive:
+            assert reconstruct(f) == (True, None)
+            values[600] = lat.top_id  # not monotone: 601 is above 600 and stays 0
+            g = FunctionTable(lat, n, values)
+            beta = extract_alpha(g)
+            bad = next(
+                x for x, v in zip(sp.iter_points(), values) if naive_dnf_evaluate(beta, x) != v
+            )
+            assert sp.encode(bad) == 601
+            assert reconstruct(g) == (False, bad)
+        else:
+            # the normal form with the top coefficient at the full set only
+            alpha = DNFMap(lat, n, [0] * ((1 << n) - 1) + [lat.top_id])
+            assert dnf_membership(alpha, f)
+            values[-2] = 0
+            assert not dnf_membership(alpha, FunctionTable(lat, n, values))
 
 
 # -- rendering -----------------------------------------------------------------

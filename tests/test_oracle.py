@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latpoly import (
+    DNFMap,
     FiniteLattice,
     FunctionTable,
     boolean,
@@ -26,14 +27,22 @@ from latpoly import (
     check_condition,
     closure_polynomials,
     count_monotone_tables,
+    dnf_evaluate,
+    dnf_membership,
     enumerate_polynomials_distributive,
+    equivalent,
+    evaluate,
     evaluate_all_conditions,
+    extract_alpha,
     find_nondistributive_witness,
     is_order_preserving,
     iter_monotone_tables,
     make_med,
     materialize,
     random_monotone_table,
+    random_term,
+    reconstruct,
+    subset_masks,
     verify_equivalence,
 )
 from latpoly.budget import ensure_budget, resolve_budget
@@ -48,6 +57,8 @@ from latpoly.oracle import (
     _monotone_assignments,
 )
 from latpoly.terms import Const, Var
+
+from conftest import naive_dnf_evaluate, naive_evaluate
 
 
 def brute_monotone_tables(lat, n):
@@ -888,6 +899,44 @@ def check_routes_agree(lat, max_distributive, max_other, max_binary):
 @settings(max_examples=100, deadline=None)
 def test_routes_agree_on_generated_lattices(lat):
     check_routes_agree(lat, max_distributive=6, max_other=5, max_binary=3)
+
+
+@given(lat=generated_lattices, data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_tabulation_equals_the_per_point_references(lat, data):
+    """Every caller of the one tabulator against the per-point references,
+    at arity 0 to 3, on distributive and other lattices."""
+    n = data.draw(st.integers(0, 3 if lat.m <= 6 else 2 if lat.m <= 8 else 1), label="n")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    t1, t2 = (random_term(rng, lat, n, 4) for _ in range(2))
+    points = list(lat.point_space(n).iter_points())
+    f = materialize(lat, t1, n)
+    assert f.values == tuple(naive_evaluate(lat, t1, x) for x in points)
+    for x, v in zip(points, f.values):
+        assert evaluate(lat, t1, x) == evaluate(lat, t1, [lat.elements[d] for d in x]) == v
+    if lat.distributive:
+        bottom, top = lat.bottom_id, lat.top_id
+        compared = [tuple(top if s >> k & 1 else bottom for k in range(n)) for s in subset_masks(n)]
+    else:
+        compared = points
+    differs = (x for x in compared if naive_evaluate(lat, t1, x) != naive_evaluate(lat, t2, x))
+    witness = next(differs, None)
+    assert equivalent(lat, t1, t2, n) == (witness is None, witness)
+    # a coefficient map, and a table its normal form denotes but at one point
+    alpha = DNFMap(lat, n, [rng.randrange(lat.m) for _ in range(1 << n)])
+    denoted = [naive_dnf_evaluate(alpha, x) for x in points]
+    assert [dnf_evaluate(alpha, x) for x in points] == denoted
+    values = list(denoted)
+    values[rng.randrange(len(values))] = rng.randrange(lat.m)
+    g = FunctionTable(lat, n, values)
+    assert dnf_membership(alpha, g) == (values == denoted)
+    if lat.distributive:
+        for h in (f, g):
+            beta = extract_alpha(h)
+            bad = next(
+                (x for x, v in zip(points, h.values) if naive_dnf_evaluate(beta, x) != v), None
+            )
+            assert reconstruct(h) == (bad is None, bad)
 
 
 @pytest.mark.slow

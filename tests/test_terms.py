@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from latpoly import (
     Join,
     Meet,
     Var,
+    chain,
     delta,
     evaluate,
     format_term,
@@ -261,6 +263,31 @@ def test_table_unknown_element(chain2):
 def test_table_bad_header(chain2):
     with pytest.raises(FormatError):
         table_from_text("tab 1\n", chain2)
+
+
+@pytest.mark.parametrize(
+    "padding, message",
+    [
+        (0, "<table>:1: table arity exceeds the length of the text"),
+        (60_000, "<table>: missing entry for point (0,0,0,"),
+    ],
+    ids=["header-only", "padded"],
+)
+def test_table_header_builds_nothing_square_in_its_arity(padding, message):
+    # the point grid of arity n has n strides of up to n*log2|L| bits; a
+    # header read before any entry must not build them (a fresh lattice,
+    # whose cache holds no grid yet)
+    text = "table 60000\n" + "#" * padding
+    lat = chain(3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as excinfo:
+            table_from_text(text, lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert str(excinfo.value).startswith(message) and "\n" not in str(excinfo.value)
 
 
 def test_function_table_validates_length(chain2):
