@@ -23,8 +23,8 @@ plus "delta-meet"/"delta-join" and "range-convex"/"section-convex".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from operator import itemgetter, mul
+from itertools import combinations
+from operator import itemgetter
 
 from .budget import ensure_budget
 from .errors import HypothesisViolatedError, InvalidParamsError
@@ -88,14 +88,7 @@ def grid_map(lat, n, kind):
 def _unary_maps(lat, n, digit_maps):
     """maps[c][i]: grid index of (u(x_1), ..., u(x_n)) for the point x at
     index i, where u(d) = digit_maps[c][d]."""
-    m = lat.m
-    maps = []
-    for g in digit_maps:
-        idx = [0]
-        for _ in range(n):
-            idx = [a * m + gd for a in idx for gd in g]
-        maps.append(idx)
-    return maps
+    return [lat.point_space(n).indices([g] * n) for g in digit_maps]
 
 
 def _line_rows(lat, n):
@@ -114,15 +107,15 @@ def _diagonal_rows(lat, n):
     """Getters for the diagonals of f and of its constant substitutions
     (substituted coordinates in subset_masks order, never all n of them;
     values in lexicographic order): each returns one diagonal as a tuple."""
-    m, strides = lat.m, lat.point_space(n).strides
+    m, sp = lat.m, lat.point_space(n)
     rows = []
     for kmask in subset_masks(n):
         if kmask == (1 << n) - 1 and n > 0:
             continue  # keep at least one free coordinate
-        kstrides = [s for k, s in enumerate(strides) if kmask >> k & 1]
-        step = sum(strides) - sum(kstrides)
-        for key in product(range(m), repeat=len(kstrides)):
-            base = sum(map(mul, key, kstrides))
+        frozen = [kmask >> k & 1 for k in range(n)]
+        # the point with 1 at the free coordinates and 0 at the others
+        (step,) = sp.indices([(0,) if z else (1,) for z in frozen])
+        for base in sp.indices([range(m) if z else (0,) for z in frozen]):
             rows.append(itemgetter(*(base + v * step for v in range(m))))
     return rows
 

@@ -60,11 +60,7 @@ class FiniteLattice:
         m = len(element_names)
         if m == 0:
             raise InvalidParamsError("a lattice needs at least one element")
-        if m > max_size:
-            raise InvalidParamsError(
-                f"{m} elements exceed the cap of {max_size}; "
-                f"pass max_size to raise it"
-            )
+        _ensure_within_cap(m, max_size)
         if len(set(element_names)) != m:
             raise InvalidParamsError("element names must be unique")
         up, down = _order_rows(leq, m)
@@ -219,6 +215,14 @@ class FiniteLattice:
         )
 
 
+def _ensure_within_cap(m, max_size):
+    """Refuse m elements above the cap, before anything of size m is built."""
+    if m > max_size:
+        raise InvalidParamsError(
+            f"{m} elements exceed the cap of {max_size}; pass max_size to raise it"
+        )
+
+
 def _order_rows(leq, m):
     """Each position's up-set and down-set under ``leq``, as ints with bit j
     standing for position j."""
@@ -328,6 +332,7 @@ def chain(k, max_size=DEFAULT_MAX_ELEMENTS):
     """Total order on k elements. The 3-chain is named 0 < m < 1."""
     if k < 2:
         raise InvalidParamsError("a chain needs at least 2 elements")
+    _ensure_within_cap(k, max_size)
     if k == 2:
         names = ["0", "1"]
     elif k == 3:
@@ -345,6 +350,7 @@ def boolean(k, max_size=DEFAULT_MAX_ELEMENTS):
     if k > len(_ATOM_LETTERS):
         raise InvalidParamsError(f"at most {len(_ATOM_LETTERS)} atoms supported")
     m = 1 << k
+    _ensure_within_cap(m, max_size)
     full = m - 1
 
     def subset_name(mask):
@@ -361,17 +367,13 @@ def boolean(k, max_size=DEFAULT_MAX_ELEMENTS):
 
 def product(lat1, lat2, max_size=DEFAULT_MAX_ELEMENTS):
     """Direct product with the componentwise order."""
+    _ensure_within_cap(lat1.m * lat2.m, max_size)
     names = []
     pairs = []
     for e1 in lat1.elements:
         for e2 in lat2.elements:
             names.append(f"({e1.name},{e2.name})")
             pairs.append((e1.id, e2.id))
-    m = len(pairs)
-    if m > max_size:
-        raise InvalidParamsError(
-            f"product has {m} elements, above the cap of {max_size}"
-        )
     l1, l2 = lat1._leq, lat2._leq
     leq = [
         [l1[a1][b1] and l2[a2][b2] for (b1, b2) in pairs]
@@ -396,10 +398,8 @@ def downset_lattice(poset_names, poset_covers, name=None, max_size=DEFAULT_MAX_E
     for mask in range(1 << p):
         if all(mask & below[j] == below[j] for j in range(p) if mask >> j & 1):
             downsets.append(mask)
-    if len(downsets) > max_size:
-        raise InvalidParamsError(
-            f"poset has {len(downsets)} downsets, above the cap of {max_size}"
-        )
+            if len(downsets) > max_size:
+                raise InvalidParamsError(f"poset has more downsets than the cap of {max_size}")
 
     def ds_name(mask):
         if mask == 0:

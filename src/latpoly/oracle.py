@@ -288,7 +288,6 @@ def _closure_values(lattice, n, budget):
     m = lattice.m
     size = m ** n
     ensure_budget(size * (n + m), budget, "clone generator construction")
-    strides = lattice.point_space(n).strides
 
     leq, covers_down, covers_up = lattice._leq, lattice.covers_down, lattice.covers_up
     joins = [j for j in range(m) if len(covers_down[j]) == 1] or [0]
@@ -324,7 +323,7 @@ def _closure_values(lattice, n, budget):
             place(t, pack(t, up_cols), d)
 
     for t in dict.fromkeys(
-        [tuple(i // s % m for i in range(size)) for s in strides]
+        [*zip(*lattice.point_space(n).iter_points())]
         + [(c,) * size for c in range(m)]
     ):
         place(t, pack(t, up_cols), pack(t, down_cols))

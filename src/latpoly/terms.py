@@ -38,6 +38,7 @@ from .errors import (
     VarOutOfRangeError,
 )
 from .lattice import Element, read_text_file
+from .points import point_ids
 
 
 # -- AST ----------------------------------------------------------------------
@@ -341,8 +342,7 @@ def _tabulate(lattice, term, points):
 
 def evaluate(lattice, term, point):
     """Evaluate a term at a point (ids or Elements); returns an element id."""
-    point = tuple(map(operator.index, point))
-    return next(_tabulate(lattice, term, [point]))
+    return next(_tabulate(lattice, term, [point_ids(point, lattice.m)]))
 
 
 # -- explicit tables ---------------------------------------------------------
@@ -401,29 +401,13 @@ def substitute(f, k_indices, point):
     """Freeze the 1-based coordinates in `k_indices` at the values `point`
     takes there; the remaining coordinates keep their relative order."""
     n = f.arity
-    lat = f.lattice
-    frozen = sorted({operator.index(k) for k in k_indices})
-    for k in frozen:
+    frozen = {operator.index(k) for k in k_indices}
+    for k in sorted(frozen):
         if k < 1 or k > n:
             raise BadIndexError(f"coordinate {k} outside 1..{n}")
-    if len(point) != n:
-        raise ArityMismatchError(
-            f"substitution point has arity {len(point)}, function has {n}"
-        )
-    frozen_set = set(frozen)
-    free = [k for k in range(n) if (k + 1) not in frozen_set]
-    sp = lat.point_space(n)
-    base = sum(
-        operator.index(point[k - 1]) * sp.strides[k - 1] for k in frozen
-    )
-    vals = []
-    m = lat.m
-    for y in iter_product(range(m), repeat=len(free)):
-        idx = base
-        for k0, d in zip(free, y):
-            idx += d * sp.strides[k0]
-        vals.append(f.values[idx])
-    return FunctionTable(lat, len(free), vals)
+    sp, free = f.space, range(f.lattice.m)
+    digits = [(d,) if k in frozen else free for k, d in enumerate(sp.check(point), 1)]
+    return FunctionTable(f.lattice, n - len(frozen), map(f.values.__getitem__, sp.indices(digits)))
 
 
 def delta(f):

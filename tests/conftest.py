@@ -1,10 +1,11 @@
 import operator
+from itertools import product
 
 import pytest
 
 from latpoly import boolean, chain, m3, n5
 from latpoly.errors import ArityMismatchError
-from latpoly.terms import Const, Join, Meet, Var
+from latpoly.terms import Const, FunctionTable, Join, Meet, Var
 
 
 def naive_evaluate(lattice, term, point):
@@ -57,6 +58,25 @@ def naive_dnf_evaluate(alpha, point):
             b &= b - 1
         acc = join_t[acc][v]
     return acc
+
+
+def naive_substitute(f, k_indices, point):
+    """The substitution of `point`'s values at the 1-based coordinates in
+    `k_indices`, one point of the free coordinates at a time by stride
+    arithmetic; the reference for latpoly.terms.substitute."""
+    n = f.arity
+    lat = f.lattice
+    frozen = sorted({operator.index(k) for k in k_indices})
+    free = [k for k in range(n) if (k + 1) not in frozen]
+    strides = lat.point_space(n).strides
+    base = sum(operator.index(point[k - 1]) * strides[k - 1] for k in frozen)
+    vals = []
+    for y in product(range(lat.m), repeat=len(free)):
+        idx = base
+        for k0, d in zip(free, y):
+            idx += d * strides[k0]
+        vals.append(f.values[idx])
+    return FunctionTable(lat, len(free), vals)
 
 
 @pytest.fixture(scope="session")

@@ -600,3 +600,41 @@ def test_check_at_the_subset_mask_width(capsys, tmp_path):
     lat.write_text(FUZZ_LATTICES[-1])
     assert main(["check", "--lattice", str(lat), "--arity", "20", "--term", "x1"]) == 0
     assert capsys.readouterr().out.startswith("polynomial: PASS\n")
+
+
+@pytest.mark.parametrize(
+    "lattice_text, table_text, message",
+    [
+        pytest.param(
+            "lattice c3\nelements: 0 m 1\ncover:\n",
+            None,
+            "{lat}:3: expected 'covers:'",
+            id="lattice-covers-header",
+        ),
+        pytest.param(
+            CHAIN3_LAT + "m < top\n",
+            None,
+            "{lat}: cover pair references undeclared name 'top'",
+            id="lattice-undeclared-name",
+        ),
+        pytest.param(
+            CHAIN3_LAT, "table 0\n", "{tbl}:1: table arity must be >= 1", id="table-arity-0"
+        ),
+        pytest.param(
+            CHAIN3_LAT,
+            "table 1\n0 -> 0\nm 0\n",
+            "{tbl}:3: expected 1 point coordinates, '->', and a value",
+            id="table-entry-line",
+        ),
+        pytest.param(
+            CHAIN3_LAT, "# no header\n", "{tbl}: missing 'table <n>' header", id="table-no-header"
+        ),
+    ],
+)
+def test_text_file_errors_exit_two(capsys, tmp_path, lattice_text, table_text, message):
+    lat, tbl = tmp_path / "l.lat", tmp_path / "f.tbl"
+    lat.write_text(lattice_text)
+    tbl.write_text(table_text or STEP_TBL)
+    code = main(["check", "--lattice", str(lat), "--arity", "1", "--table", str(tbl)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message.format(lat=lat, tbl=tbl)}\n"

@@ -34,8 +34,15 @@ from latpoly import (
     report_lines,
     substitute,
 )
-from latpoly.conditions import _BIT, _SUB_CHECKS, CONDITION_IDS, grid_map
-from latpoly.errors import BudgetExceededError, HypothesisViolatedError
+from latpoly.conditions import (
+    _BIT,
+    _SUB_CHECKS,
+    CONDITION_IDS,
+    ConditionEntry,
+    format_entry,
+    grid_map,
+)
+from latpoly.errors import BudgetExceededError, HypothesisViolatedError, InvalidParamsError
 from latpoly.oracle import _monotone_assignments, closure_polynomials, iter_monotone_tables
 
 
@@ -724,3 +731,48 @@ def test_tables_the_pruned_walk_skips_fail_every_condition(make, n, stride):
         if values not in unsettled:
             f = FunctionTable(lat, n, values)
             assert not any(check_condition(f, cond)[0] for cond in CONDITION_IDS), values
+
+
+# -- refusals ------------------------------------------------------------------
+
+IDENTITY = FunctionTable(chain(3), 1, (0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: check_homogeneity(IDENTITY, "up"),
+            "direction must be 'meet' or 'join', got 'up'",
+            id="homogeneity-direction",
+        ),
+        pytest.param(
+            lambda: check_homogeneity(IDENTITY, "meet", scope="some"),
+            "scope must be 'interval' or 'all', got 'some'",
+            id="homogeneity-scope",
+        ),
+        pytest.param(
+            lambda: check_horizontal(IDENTITY, "up"),
+            "direction must be 'meet' or 'join', got 'up'",
+            id="horizontal-direction",
+        ),
+        pytest.param(
+            lambda: check_delta_preservation(IDENTITY, which="none"),
+            "which must be 'meet', 'join', or 'both', got 'none'",
+            id="delta-which",
+        ),
+        pytest.param(
+            lambda: check_condition(IDENTITY, "vii"),
+            "unknown condition 'vii'; expected one of ('ii', 'iii', 'iv', 'v', 'vi')",
+            id="unknown-condition",
+        ),
+    ],
+)
+def test_refusals(call, message):
+    with pytest.raises(InvalidParamsError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
+def test_a_failure_without_witness_is_rendered_bare():
+    assert format_entry(IDENTITY.lattice, ConditionEntry(False)) == "FAIL"

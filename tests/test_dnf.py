@@ -35,6 +35,7 @@ from latpoly.budget import ensure_budget
 from latpoly.cli import main
 from latpoly.dnf import _choices
 from latpoly.errors import (
+    ArityMismatchError,
     BudgetExceededError,
     InvalidParamsError,
     LimitExceededError,
@@ -586,3 +587,49 @@ def test_dnf_term_round_trips(chain3, b2):
             f = materialize(lat, t, 2)
             back = materialize(lat, dnf_to_term(extract_alpha(f)), 2)
             assert back.values == f.values
+
+
+# -- refusals ------------------------------------------------------------------
+
+CHAIN2 = chain(2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: DNFMap(CHAIN2, 1, (0,)),
+            ArityMismatchError,
+            "coefficient map of arity 1 needs 2 entries, got 1",
+            id="coefficient-count",
+        ),
+        pytest.param(
+            lambda: dnf_evaluate(DNFMap(CHAIN2, 1, (0, 1)), (0, 0)),
+            ArityMismatchError,
+            "point has arity 2, coefficient map has 1",
+            id="evaluate-arity",
+        ),
+        pytest.param(
+            lambda: dnf_evaluate(DNFMap(CHAIN2, 1, (0, 1)), (2,)),
+            InvalidParamsError,
+            "point coordinate 1 is 2, not an element id 0..1",
+            id="evaluate-id",
+        ),
+        pytest.param(
+            lambda: dnf_membership(DNFMap(CHAIN2, 1, (0, 1)), FunctionTable(CHAIN2, 2, (0, 0, 0, 1))),
+            ArityMismatchError,
+            "coefficient map and table do not match",
+            id="membership-arity",
+        ),
+        pytest.param(
+            lambda: enumerate_dnf(FunctionTable(CHAIN2, 1, (0, 1)), mode="all"),
+            InvalidParamsError,
+            "mode must be 'count' or 'list', got 'all'",
+            id="enumerate-mode",
+        ),
+    ],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message

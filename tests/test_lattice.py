@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -482,3 +484,152 @@ def test_text_comments_and_blanks():
 def test_text_format_errors(text):
     with pytest.raises(FormatError):
         lattice_from_text(text)
+
+
+# -- refusals ------------------------------------------------------------------
+
+CHAIN3_TEXT = "lattice c3\nelements: 0 m 1\ncovers:\n"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: FiniteLattice("empty", [], []),
+            InvalidParamsError,
+            "a lattice needs at least one element",
+            id="no-elements",
+        ),
+        pytest.param(
+            lambda: FiniteLattice("twins", ["a", "a"], [[True, True], [True, True]]),
+            InvalidParamsError,
+            "element names must be unique",
+            id="duplicate-names",
+        ),
+        pytest.param(
+            lambda: downset_lattice([], []),
+            InvalidParamsError,
+            "a poset needs at least one element",
+            id="empty-poset",
+        ),
+        pytest.param(
+            lambda: build_from_covers("u", ["0", "1"], [("0", "2")]),
+            InvalidParamsError,
+            "cover pair references undeclared name '2'",
+            id="undeclared-high",
+        ),
+        pytest.param(
+            lambda: build_from_covers("u", ["0", "1"], [("z", "1")]),
+            InvalidParamsError,
+            "cover pair references undeclared name 'z'",
+            id="undeclared-low",
+        ),
+        pytest.param(
+            lambda: chain(1), InvalidParamsError, "a chain needs at least 2 elements", id="chain-1"
+        ),
+        pytest.param(
+            lambda: chain(257),
+            InvalidParamsError,
+            "257 elements exceed the cap of 256; pass max_size to raise it",
+            id="chain-cap",
+        ),
+        pytest.param(
+            lambda: boolean(0),
+            InvalidParamsError,
+            "a boolean lattice needs at least 1 atom",
+            id="boolean-0",
+        ),
+        pytest.param(
+            lambda: boolean(27), InvalidParamsError, "at most 26 atoms supported", id="boolean-27"
+        ),
+        pytest.param(
+            lambda: boolean(4, max_size=15),
+            InvalidParamsError,
+            "16 elements exceed the cap of 15; pass max_size to raise it",
+            id="boolean-cap",
+        ),
+        pytest.param(
+            lambda: product(chain(16), chain(17)),
+            InvalidParamsError,
+            "272 elements exceed the cap of 256; pass max_size to raise it",
+            id="product-cap",
+        ),
+        pytest.param(
+            lambda: downset_lattice([f"p{i}" for i in range(21)], []),
+            InvalidParamsError,
+            "downset construction supports at most 20 poset elements",
+            id="poset-21",
+        ),
+        pytest.param(
+            lambda: downset_lattice("abc", [], max_size=7),
+            InvalidParamsError,
+            "poset has more downsets than the cap of 7",
+            id="downset-cap",
+        ),
+        pytest.param(
+            lambda: standard_lattice("n5", 1),
+            InvalidParamsError,
+            "N5 takes no parameters",
+            id="n5-params",
+        ),
+        pytest.param(
+            lambda: standard_lattice("m3", 1),
+            InvalidParamsError,
+            "M3 takes no parameters",
+            id="m3-params",
+        ),
+        pytest.param(
+            lambda: lattice_from_text("lattice c3\nelements: 0 m 1\ncover:\n"),
+            FormatError,
+            "<lattice>:3: expected 'covers:'",
+            id="text-covers-header",
+        ),
+        pytest.param(
+            lambda: lattice_from_text(CHAIN3_TEXT + "0 < m\nm < top\n"),
+            FormatError,
+            "<lattice>: cover pair references undeclared name 'top'",
+            id="text-undeclared-name",
+        ),
+    ],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: chain(3000),
+            "3000 elements exceed the cap of 256; pass max_size to raise it",
+            id="chain-3000",
+        ),
+        pytest.param(
+            lambda: boolean(12),
+            "4096 elements exceed the cap of 256; pass max_size to raise it",
+            id="boolean-12",
+        ),
+        pytest.param(
+            lambda: boolean(16),
+            "65536 elements exceed the cap of 256; pass max_size to raise it",
+            id="boolean-16",
+        ),
+        pytest.param(
+            lambda: downset_lattice([f"p{i}" for i in range(20)], []),
+            "poset has more downsets than the cap of 256",
+            id="antichain-20",
+        ),
+    ],
+)
+def test_constructors_refuse_before_they_allocate(call, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParamsError) as excinfo:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(excinfo.value) == message
+    assert peak < 2**20

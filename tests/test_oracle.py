@@ -47,7 +47,12 @@ from latpoly import (
 )
 from latpoly.budget import ensure_budget, resolve_budget
 from latpoly.conditions import grid_map
-from latpoly.errors import BudgetExceededError, NotDistributiveError, NotNonDistributiveError
+from latpoly.errors import (
+    BudgetExceededError,
+    InvalidParamsError,
+    NotDistributiveError,
+    NotNonDistributiveError,
+)
 from latpoly.oracle import (
     _COST_FACTOR,
     FunctionSet,
@@ -944,3 +949,27 @@ def test_tabulation_equals_the_per_point_references(lat, data):
 @settings(max_examples=300, deadline=None)
 def test_routes_agree_on_generated_lattices_deep(lat):
     check_routes_agree(lat, max_distributive=7, max_other=7, max_binary=4)
+
+
+# -- refusals ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: FunctionSet(chain(2), 1).add(FunctionTable(chain(2), 2, (0, 0, 0, 1))),
+            "table arity 2 differs from the set arity 1",
+            id="set-arity",
+        ),
+        pytest.param(
+            lambda: find_nondistributive_witness(n5(), 1, "ii"),
+            "condition must be one of iii, iv, v, vi; got 'ii'",
+            id="witness-condition",
+        ),
+    ],
+)
+def test_refusals(call, message):
+    with pytest.raises(InvalidParamsError) as excinfo:
+        call()
+    assert str(excinfo.value) == message

@@ -9,8 +9,10 @@ from latpoly import (
     Const,
     FunctionTable,
     Join,
+    Med,
     Meet,
     Var,
+    boolean,
     chain,
     delta,
     evaluate,
@@ -19,6 +21,7 @@ from latpoly import (
     make_med,
     make_meet,
     materialize,
+    n5,
     parse_term,
     random_term,
     substitute,
@@ -26,11 +29,14 @@ from latpoly import (
     table_to_text,
 )
 from latpoly.conditions import is_order_preserving
+
+from conftest import naive_substitute
 from latpoly.errors import (
     ArityMismatchError,
     BadIndexError,
     BudgetExceededError,
     FormatError,
+    InvalidParamsError,
     TermSyntaxError,
     UnknownElementError,
     VarOutOfRangeError,
@@ -293,3 +299,172 @@ def test_table_header_builds_nothing_square_in_its_arity(padding, message):
 def test_function_table_validates_length(chain2):
     with pytest.raises(ArityMismatchError):
         FunctionTable(chain2, 2, (0, 1))
+
+
+# -- points are checked where they enter ---------------------------------------
+
+CHAIN3 = chain(3)
+MEET_TERM = parse_term("x1 & x2", CHAIN3, 2)
+JOIN_TERM = parse_term("x1 | x2", CHAIN3, 2)
+MEET = materialize(CHAIN3, MEET_TERM, 2)
+JOIN = materialize(CHAIN3, JOIN_TERM, 2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: MEET((0, 5)),
+            InvalidParamsError,
+            "point coordinate 2 is 5, not an element id 0..2",
+            id="table-past-top",
+        ),
+        pytest.param(
+            lambda: MEET((-1, 2)),
+            InvalidParamsError,
+            "point coordinate 1 is -1, not an element id 0..2",
+            id="table-negative",
+        ),
+        pytest.param(
+            lambda: JOIN((1,)),
+            ArityMismatchError,
+            "point has arity 1, expected 2",
+            id="table-short-point",
+        ),
+        pytest.param(
+            lambda: JOIN((1, 1, 1)),
+            ArityMismatchError,
+            "point has arity 3, expected 2",
+            id="table-long-point",
+        ),
+        pytest.param(
+            lambda: substitute(MEET, [1], (-1, 0)),
+            InvalidParamsError,
+            "point coordinate 1 is -1, not an element id 0..2",
+            id="substitute-negative",
+        ),
+        pytest.param(
+            lambda: substitute(MEET, [1], (0, 0, 0)),
+            ArityMismatchError,
+            "point has arity 3, expected 2",
+            id="substitute-long-point",
+        ),
+        pytest.param(
+            lambda: evaluate(CHAIN3, MEET_TERM, (-1, 1)),
+            InvalidParamsError,
+            "point coordinate 1 is -1, not an element id 0..2",
+            id="evaluate-negative",
+        ),
+        pytest.param(
+            lambda: evaluate(CHAIN3, Var(1), (5, 0)),
+            InvalidParamsError,
+            "point coordinate 1 is 5, not an element id 0..2",
+            id="evaluate-var-past-top",
+        ),
+        pytest.param(
+            lambda: evaluate(CHAIN3, JOIN_TERM, (5, 0)),
+            InvalidParamsError,
+            "point coordinate 1 is 5, not an element id 0..2",
+            id="evaluate-join-past-top",
+        ),
+        pytest.param(
+            lambda: evaluate(CHAIN3, MEET_TERM, (1,)),
+            ArityMismatchError,
+            "term uses x2 but the point has arity 1",
+            id="evaluate-short-point",
+        ),
+    ],
+)
+def test_points_are_checked_where_they_enter(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
+def test_points_in_range_are_read_as_before():
+    top = CHAIN3.elements[2]
+    assert MEET((2, 1)) == 1 and MEET((top, top)) == 2
+    assert evaluate(CHAIN3, Var(1), (top, 0)) == 2
+    assert evaluate(CHAIN3, MEET_TERM, (1, 2, 0)) == 1  # coordinates past the term's are read
+    assert substitute(MEET, [1], (top, 0)).values == (0, 1, 2)
+
+
+SUBSTITUTE_LATTICES = [chain(2), chain(3), boolean(2), n5()]
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_substitute_equals_the_per_point_reference(data):
+    lat = data.draw(st.sampled_from(SUBSTITUTE_LATTICES))
+    n = data.draw(st.integers(0, 3))
+    values = data.draw(st.lists(st.integers(0, lat.m - 1), min_size=lat.m**n, max_size=lat.m**n))
+    f = FunctionTable(lat, n, values)
+    k_set = data.draw(st.sets(st.integers(1, n)) if n else st.just(set()))
+    point = tuple(data.draw(st.lists(st.integers(0, lat.m - 1), min_size=n, max_size=n)))
+    assert substitute(f, k_set, point) == naive_substitute(f, k_set, point)
+
+
+# -- refusals ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: Var(0), VarOutOfRangeError, "variable index 0 must be >= 1", id="var-0"),
+        pytest.param(
+            lambda: Meet((Var(1),)), ValueError, "Meet needs at least two subterms", id="meet-1"
+        ),
+        pytest.param(
+            lambda: Meet((Var(1), Meet((Var(2), Var(3))))),
+            ValueError,
+            "nested Meet; build via make_meet",
+            id="meet-nested",
+        ),
+        pytest.param(
+            lambda: Join((Var(1),)), ValueError, "Join needs at least two subterms", id="join-1"
+        ),
+        pytest.param(
+            lambda: Join((Var(1), Join((Var(2), Var(3))))),
+            ValueError,
+            "nested Join; build via make_join",
+            id="join-nested",
+        ),
+        pytest.param(
+            lambda: Med((Var(1), Var(2))), ValueError, "med takes exactly three subterms", id="med-2"
+        ),
+        pytest.param(
+            lambda: FunctionTable(CHAIN3, 1, (0, 3, 1)),
+            InvalidParamsError,
+            "table entry is not a valid element id",
+            id="table-entry",
+        ),
+        pytest.param(
+            lambda: delta(FunctionTable(CHAIN3, 0, (1,))),
+            ArityMismatchError,
+            "diagonal needs arity >= 1",
+            id="delta-arity-0",
+        ),
+        pytest.param(
+            lambda: table_from_text("table 0\n", CHAIN3),
+            FormatError,
+            "<table>:1: table arity must be >= 1",
+            id="text-arity-0",
+        ),
+        pytest.param(
+            lambda: table_from_text("table 1\n0 -> 0\nm 0\n", CHAIN3),
+            FormatError,
+            "<table>:3: expected 1 point coordinates, '->', and a value",
+            id="text-entry-line",
+        ),
+        pytest.param(
+            lambda: table_from_text("# no header\n\n", CHAIN3),
+            FormatError,
+            "<table>: missing 'table <n>' header",
+            id="text-no-header",
+        ),
+    ],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message
