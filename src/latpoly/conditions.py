@@ -29,6 +29,7 @@ from operator import itemgetter
 from .budget import ensure_budget
 from .errors import HypothesisViolatedError, InvalidParamsError
 from .dnf import extract_alpha, reconstruct, subset_masks
+from .lattice import _members
 
 CONDITION_IDS = ("ii", "iii", "iv", "v", "vi")
 
@@ -270,14 +271,16 @@ def check_range_idempotency(f, budget=None):
     return True, None
 
 
-def _convexity_gap(values, leq, m):
-    """Smallest element strictly between members of `values` yet missing."""
-    for y in range(m):
-        if y in values:
-            continue
-        if any(leq[u][y] for u in values) and any(leq[y][v] for v in values):
-            return y
-    return None
+def _convexity_gap(values, up, down):
+    """Smallest element strictly between members of `values` yet missing:
+    in the up row of one member and the down row of another."""
+    above = below = members = 0
+    for v in values:
+        above |= up[v]
+        below |= down[v]
+        members |= 1 << v
+    gap = above & below & ~members
+    return (gap & -gap).bit_length() - 1 if gap else None
 
 
 def check_range_convexity(f, budget=None):
@@ -288,17 +291,13 @@ def check_range_convexity(f, budget=None):
     m = lat.m
     vals = f.values
     ensure_budget(len(vals) * m * max(n, 1), budget, "range convexity scan")
-    leq = lat._leq
-    gap = _convexity_gap(set(vals), leq, m)
+    gap = _convexity_gap(set(vals), lat._up, lat._down)
     if gap is not None:
         return False, Witness(c=gap, eq="range-convex")
     for i, k, xk, _, s in grid_map(lat, n, "lines"):
         if xk != 0:
             continue  # same section as the representative with x_k = bottom
-        section = set(vals[i : i + m * s : s])
-        if len(section) == m:
-            continue
-        gap = _convexity_gap(section, leq, m)
+        gap = _convexity_gap(set(vals[i : i + m * s : s]), lat._up, lat._down)
         if gap is not None:
             return False, Witness(
                 x=lat.point_space(n).decode(i), k=k + 1, c=gap, eq="section-convex"
@@ -536,7 +535,7 @@ def _prefix_rows(lat, n):
     budget, and the witness search after charging |L|^n + 1 tables or more.
     """
     m, top = lat.m, lat.top_id
-    meet_t, join_t, leq = lat._meet_t, lat._join_t, lat._leq
+    meet_t, join_t, up, down = lat._meet_t, lat._join_t, lat._up, lat._down
     size = m**n
     meets, joins = grid_map(lat, n, "meet"), grid_map(lat, n, "join")
     below, above = grid_map(lat, n, "below"), grid_map(lat, n, "above")
@@ -572,10 +571,7 @@ def _prefix_rows(lat, n):
         for i in range(size):
             hom_join[joins[c][i]].append((c, i))
             hor_join[max(joins[c][i], above[c][i])].append((c, i, joins[c][i], above[c][i]))
-    intervals = [
-        [tuple(c for c in range(m) if leq[u][c] and leq[c][w]) for w in range(m)]
-        for u in range(m)
-    ]
+    intervals = [[tuple(_members(row & col)) for col in down] for row in up]
     MED, SELF, CONVEX, IDEM = _BIT["med"], _BIT["selfcomp"], _BIT["convex"], _BIT["idem"]
     HOM_MEET, HOM_JOIN = _BIT["hom_meet"], _BIT["hom_join"]
     HOR_MEET, HOR_JOIN = _BIT["hor_meet"], _BIT["hor_join"]
@@ -623,7 +619,7 @@ def _prefix_rows(lat, n):
         if live & CONVEX:
             for i, s in convex[p]:
                 section = set(vals[i : p + 1 : s])
-                if len(section) < m and _convexity_gap(section, leq, m) is not None:
+                if len(section) < m and _convexity_gap(section, up, down) is not None:
                     failed |= CONVEX
                     break
         return failed

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     CycleError,
@@ -89,7 +90,7 @@ class FiniteLattice:
 
         # in a linear extension only id 0 can be a global minimum and only
         # id m-1 a global maximum
-        up, down = _order_rows(self._leq, m)
+        self._up, self._down = up, down = _order_rows(self._leq, m)
         full = (1 << m) - 1
         if up[0] != full or down[m - 1] != full:
             raise NoBoundsError(
@@ -194,8 +195,12 @@ class FiniteLattice:
 
     def upset_ids(self, v):
         """Ids of all elements above v, ascending."""
-        lv = self._leq[operator.index(v)]
-        return [w for w in range(self.m) if lv[w]]
+        return list(_members(self._up[operator.index(v)]))
+
+    @cached_property
+    def upsets(self):
+        """upsets[v]: the ids above v, ascending, as a tuple; built on first use."""
+        return tuple(tuple(_members(row)) for row in self._up)
 
     def point_space(self, n):
         """Shared PointSpace for arity n (cached)."""
@@ -394,12 +399,15 @@ def downset_lattice(poset_names, poset_covers, name=None, max_size=DEFAULT_MAX_E
     leq = _closure_from_covers(poset_names, poset_covers, what="poset")
     below = _order_rows(leq, p)[1]
 
-    downsets = []
-    for mask in range(1 << p):
-        if all(mask & below[j] == below[j] for j in range(p) if mask >> j & 1):
-            downsets.append(mask)
-            if len(downsets) > max_size:
-                raise InvalidParamsError(f"poset has more downsets than the cap of {max_size}")
+    # a nonempty downset less a maximal element is a downset, so all are met
+    downsets, seen = [0], {0}
+    for mask in downsets:  # grows while it is read
+        grown = {mask | 1 << j for j in range(p) if below[j] & ~mask == 1 << j} - seen
+        seen |= grown
+        downsets += grown
+        if len(downsets) > max_size:
+            raise InvalidParamsError(f"poset has more downsets than the cap of {max_size}")
+    downsets.sort()
 
     def ds_name(mask):
         if mask == 0:

@@ -86,13 +86,6 @@ class FunctionSet:
 # -- monotone table enumeration ----------------------------------------------
 
 
-def _upsets(lattice):
-    """ups[v]: the ids above v, ascending; built once, in the lattice's cache."""
-    if ("upsets",) not in lattice._cache:
-        lattice._cache[("upsets",)] = tuple(tuple(lattice.upset_ids(v)) for v in range(lattice.m))
-    return lattice._cache[("upsets",)]
-
-
 def _floor(join_t, below, values):
     """The join of the values at the positions `below`."""
     lo = 0
@@ -115,7 +108,7 @@ def _monotone_assignments(lattice, lower, rows=None):
     unsettled.
     """
     join_t = lattice._join_t
-    ups = _upsets(lattice)
+    ups = lattice.upsets
     size = len(lower)
     values = [0] * size
     iters = [None] * size
@@ -177,7 +170,7 @@ def count_monotone_tables(lattice, n, stop_after=None):
     """
     covers = grid_map(lattice, n, "covers")
     join_t = lattice._join_t
-    ups = _upsets(lattice)
+    ups = lattice.upsets
     size = lattice.m**n
     offsets = [[] for _ in range(size)]
     for i, _, j in covers:
@@ -229,7 +222,7 @@ def random_monotone_table(lattice, n, rng):
     of the draws are the constant-top table.
     """
     join_t = lattice._join_t
-    ups = _upsets(lattice)
+    ups = lattice.upsets
     lower = grid_map(lattice, n, "lower covers")
     values = [0] * len(lower)
     for i, below in enumerate(lower):

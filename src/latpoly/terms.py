@@ -354,7 +354,7 @@ class FunctionTable:
     __slots__ = ("lattice", "arity", "values")
 
     def __init__(self, lattice, arity, values):
-        values = tuple(operator.index(v) for v in values)
+        values = tuple(map(operator.index, values))
         if len(values) != lattice.m ** arity:
             raise ArityMismatchError(
                 f"table of arity {arity} over {lattice.m} elements needs "

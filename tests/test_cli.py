@@ -595,6 +595,43 @@ def test_subset_mask_width_is_checked_before_the_budget(capsys, tmp_path, comman
     assert err == f"error: subset enumeration supports 0..20 positions, got {arity}\n"
 
 
+CHAIN2_LAT = "lattice chain2\nelements: 0 1\ncovers:\n0 < 1\n"
+
+
+@pytest.mark.parametrize(
+    "lattice_text, arity, code, message",
+    [
+        pytest.param(
+            FUZZ_LATTICES[-1], "21", 2, "subset enumeration supports 0..20 positions, got 21",
+            id="one-21",
+        ),
+        pytest.param(
+            CHAIN2_LAT, "21", 2, "subset enumeration supports 0..20 positions, got 21",
+            id="chain2-21",
+        ),
+        pytest.param(
+            CHAIN3_LAT, "21", 3,
+            "term tabulation needs 10460353203 point evaluations but the budget allows 10000000",
+            id="chain3-21",
+        ),
+        pytest.param(
+            CHAIN2_LAT, "24", 3,
+            "term tabulation needs 16777216 point evaluations but the budget allows 10000000",
+            id="chain2-24",
+        ),
+    ],
+)
+def test_term_is_tabulated_before_the_subset_rule(
+    capsys, tmp_path, lattice_text, arity, code, message
+):
+    # a --term costs |L|^n evaluations before the 2^n subset masks are
+    # touched, so the budget refusal comes first once |L|^n is past it
+    lat = tmp_path / "l.lat"
+    lat.write_text(lattice_text)
+    assert main(["dnf-count", "--lattice", str(lat), "--arity", arity, "--term", "x1"]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_check_at_the_subset_mask_width(capsys, tmp_path):
     lat = tmp_path / "one.lat"
     lat.write_text(FUZZ_LATTICES[-1])

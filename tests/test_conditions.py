@@ -11,6 +11,7 @@ from latpoly import (
     boolean,
     build_from_covers,
     chain,
+    downset_lattice,
     Witness,
     check_condition,
     check_delta_preservation,
@@ -39,6 +40,7 @@ from latpoly.conditions import (
     _SUB_CHECKS,
     CONDITION_IDS,
     ConditionEntry,
+    _convexity_gap,
     format_entry,
     grid_map,
 )
@@ -524,6 +526,27 @@ def ref_gap(lat, values):
         if any(lat.leq(u, y) for u in values) and any(lat.leq(y, v) for v in values):
             return y
     return None
+
+
+@st.composite
+def lattices(draw):
+    """A downset lattice of a poset on 1-5 points, or a product of two small
+    lattices, the pentagon and the diamond among them."""
+    if draw(st.booleans()):
+        p = draw(st.integers(1, 5))
+        names = [f"p{i}" for i in range(p)]
+        pairs = draw(st.sets(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))))
+        return downset_lattice(names, [(names[a], names[b]) for a, b in pairs if a < b])
+    factors = st.sampled_from([chain(2), chain(3), boolean(2), n5(), m3()])
+    return product(draw(factors), draw(factors))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_convexity_gap_matches_reference(data):
+    lat = data.draw(lattices())
+    values = data.draw(st.sets(st.integers(0, lat.m - 1), min_size=1))
+    assert _convexity_gap(values, lat._up, lat._down) == ref_gap(lat, values)
 
 
 def ref_convexity(f):

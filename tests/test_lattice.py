@@ -190,10 +190,18 @@ def brute_refusal(names, covers):
 
 
 def assert_matches_brute_force(lat):
-    """Bounds, meet, join, covers and the distributive flag of a built
-    lattice, each against a brute-force reading of its order `_leq`."""
+    """Bounds, meet, join, covers, the order rows, up-sets, intervals and
+    the distributive flag of a built lattice, each against a brute-force
+    reading of its order `_leq`."""
     m, leq = lat.m, lat._leq
     assert all(leq[lat.bottom_id]) and all(row[lat.top_id] for row in leq)
+    for a in range(m):
+        above = [u for u in range(m) if leq[a][u]]
+        assert lat._up[a] == sum(1 << u for u in above)
+        assert lat._down[a] == sum(1 << w for w in range(m) if leq[w][a])
+        assert lat.upset_ids(a) == above and lat.upsets[a] == tuple(above)
+        for b in above:
+            assert lat.interval(a, b) == [x for x in above if leq[x][b]]
     for a in range(m):
         for b in range(m):
             uppers = [u for u in range(m) if leq[a][u] and leq[b][u]]
@@ -261,6 +269,48 @@ def test_products_and_downsets_match_brute_force(data):
         lat = downset_lattice(names, [(names[a], names[b]) for a, b in pairs if a < b])
         assert lat.distributive
     assert_matches_brute_force(lat)
+
+
+def scanned_downset_lattice(names, covers):
+    """The downset lattice from a scan of all 2^p subsets of the poset, each
+    tested for downward closure: the reference for downset_lattice."""
+    p = len(names)
+    leq = brute_closure(names, covers)
+    below = [sum(1 << i for i in range(p) if leq[i][j]) for j in range(p)]
+    downsets = [
+        mask
+        for mask in range(1 << p)
+        if all(mask & below[j] == below[j] for j in range(p) if mask >> j & 1)
+    ]
+    members = [[names[i] for i in range(p) if mask >> i & 1] for mask in downsets]
+    return FiniteLattice(
+        "downsets",
+        ["{" + ",".join(ms) + "}" for ms in members],
+        [[a & b == a for b in downsets] for a in downsets],
+    )
+
+
+def assert_same_lattice(lat, ref):
+    assert [e.name for e in lat.elements] == [e.name for e in ref.elements]
+    assert lat._leq == ref._leq
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_downsets_match_the_subset_scan(data):
+    p = data.draw(st.integers(1, 7))
+    names = [f"p{i}" for i in range(p)]
+    pairs = data.draw(st.sets(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))))
+    covers = [(names[a], names[b]) for a, b in pairs if a < b]
+    assert_same_lattice(downset_lattice(names, covers), scanned_downset_lattice(names, covers))
+
+
+def test_chain_poset_of_twenty_has_twenty_one_downsets():
+    names = [f"p{i}" for i in range(20)]
+    covers = list(zip(names, names[1:]))
+    lat = downset_lattice(names, covers)
+    assert lat.m == 21
+    assert_same_lattice(lat, scanned_downset_lattice(names, covers))
 
 
 # -- standard constructions -------------------------------------------------
