@@ -165,9 +165,9 @@ def is_order_preserving(f, budget=None):
     n = f.arity
     vals = f.values
     ensure_budget(len(vals) * max(n, 1), budget, "monotonicity scan")
-    leq = lat._leq
+    up = lat._up
     for i, k, j in grid_map(lat, n, "covers"):
-        if not leq[vals[i]][vals[j]]:
+        if not up[vals[i]] >> vals[j] & 1:
             return False, Witness(x=lat.point_space(n).decode(i), k=k + 1)
     return True, None
 
@@ -206,7 +206,7 @@ def _bound_interval(f, what):
     lat = f.lattice
     f0 = f.values[0]
     f1 = f.values[-1]
-    if not lat._leq[f0][f1]:
+    if not lat._up[f0] >> f1 & 1:
         raise HypothesisViolatedError(
             f"{what} needs f(bottom,...) below f(top,...); "
             f"got {lat.elements[f0].name!r} and {lat.elements[f1].name!r}"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 
 from .errors import (
     CycleError,
@@ -64,33 +65,54 @@ class FiniteLattice:
         _ensure_within_cap(m, max_size)
         if len(set(element_names)) != m:
             raise InvalidParamsError("element names must be unique")
-        up, down = _order_rows(leq, m)
+        up = [sum(1 << j for j in range(m) if leq[i][j]) for i in range(m)]
         for i in range(m):
             if not up[i] >> i & 1:
                 raise InvalidParamsError("order relation is not reflexive")
         for i in range(m):
-            both = up[i] & down[i] & ~(1 << i)
-            if both:
-                raise CycleError(
-                    f"elements {element_names[i]!r} and "
-                    f"{element_names[next(_members(both))]!r} order each other"
-                )
+            for j in _members(up[i] ^ 1 << i):
+                if up[j] >> i & 1:
+                    raise CycleError(
+                        f"elements {element_names[i]!r} and "
+                        f"{element_names[j]!r} order each other"
+                    )
         for i in range(m):
             if any(up[j] & ~up[i] for j in _members(up[i])):
                 raise InvalidParamsError("order relation is not transitive")
+        # every order pair goes in; the path keeps the covers among them
+        pairs = [(i, j) for i in range(m) for j in _members(up[i] ^ 1 << i)]
+        self._build(name, element_names, pairs)
 
-        order = _linear_extension(down)
+    @classmethod
+    def _from_covers(cls, name, names, pairs):
+        """The lattice ordered by the closure of ``pairs``, (low, high)
+        positions in ``names``, which the caller has checked."""
+        lat = cls.__new__(cls)
+        lat._build(name, names, pairs)
+        return lat
+
+    # -- construction internals -------------------------------------------
+
+    def _build(self, name, names, pairs):
+        """The one construction path: Kahn's algorithm over the pairs gives
+        the ids, the down rows are ORed forward along the pairs and the up
+        rows backward, the pairs that are minimal in the rows are the
+        covers, and meet and join are tabulated from the rows."""
+        m = len(names)
+        order = _linear_extension(names, pairs)
+        new = [0] * m
+        for k, p in enumerate(order):
+            new[p] = k
+        pairs = [(new[p], new[q]) for p, q in pairs]
         self.name = name
         self.m = m
-        self.elements = tuple(
-            Element(new_id, element_names[old]) for new_id, old in enumerate(order)
-        )
+        self.elements = tuple(Element(k, names[p]) for k, p in enumerate(order))
         self._id_by_name = {e.name: e.id for e in self.elements}
-        self._leq = [[leq[order[i]][order[j]] for j in range(m)] for i in range(m)]
+        self._down = down = _down_rows(range(m), pairs)
+        self._up = up = _down_rows(range(m - 1, -1, -1), [(q, p) for p, q in pairs])
 
         # in a linear extension only id 0 can be a global minimum and only
         # id m-1 a global maximum
-        self._up, self._down = up, down = _order_rows(self._leq, m)
         full = (1 << m) - 1
         if up[0] != full or down[m - 1] != full:
             raise NoBoundsError(
@@ -101,12 +123,15 @@ class FiniteLattice:
         self.top_id = m - 1
 
         self._meet_t, self._join_t = self._build_tables(up, down)
-        self.covers_up = _build_covers(up, down)
-        self.covers_down = _build_covers(down, up)
-        self.distributive = _join_irreducibles_prime(up, self.covers_down, self._join_t)
+        covers_up, covers_down = [0] * m, [0] * m
+        for p, q in pairs:
+            if up[p] & down[q] == 1 << p | 1 << q:
+                covers_up[p] |= 1 << q
+                covers_down[q] |= 1 << p
+        self.covers_up = [tuple(_members(row)) for row in covers_up]
+        self.covers_down = [tuple(_members(row)) for row in covers_down]
+        self.distributive = _join_irreducibles_prime(up, down, self.covers_down)
         self._cache = {}
-
-    # -- construction internals -------------------------------------------
 
     def _build_tables(self, up, down):
         m = self.m
@@ -145,7 +170,7 @@ class FiniteLattice:
             ) from None
 
     def leq(self, a, b):
-        return self._leq[operator.index(a)][operator.index(b)]
+        return bool(self._up[operator.index(a)] >> operator.index(b) & 1)
 
     def meet(self, a, b):
         return self._meet_t[operator.index(a)][operator.index(b)]
@@ -156,7 +181,7 @@ class FiniteLattice:
     def order_ops(self, a, b):
         """The triple (a <= b, a meet b, a join b)."""
         i, j = operator.index(a), operator.index(b)
-        return self._leq[i][j], self._meet_t[i][j], self._join_t[i][j]
+        return bool(self._up[i] >> j & 1), self._meet_t[i][j], self._join_t[i][j]
 
     def med(self, x, y, z):
         """Ternary median (x v y) ^ (x v z) ^ (y v z); symmetric in all args."""
@@ -167,12 +192,13 @@ class FiniteLattice:
     def interval(self, a, b):
         """All x with a <= x <= b, ascending by id. Raises if a is not below b."""
         i, j = operator.index(a), operator.index(b)
-        if not self._leq[i][j]:
+        if not self._up[i] >> j & 1:
             raise EmptyIntervalError(
                 f"{self.elements[i].name!r} is not below {self.elements[j].name!r}"
             )
-        leq = self._leq
-        return [x for x in range(self.m) if leq[i][x] and leq[x][j]]
+        # ids are a linear extension, so the interval lies in i..j
+        row = self._up[i] & self._down[j]
+        return [x for x in range(i, j + 1) if row >> x & 1]
 
     def truncate(self, point, c, direction):
         """Coordinate truncation of a point against a threshold element.
@@ -186,11 +212,12 @@ class FiniteLattice:
     def truncation_row(self, c, direction):
         """The digit map d -> [d]_c (``below``) or d -> [d]^c (``above``)
         of coordinate truncation against the element id c, as a list."""
-        leq = self._leq
         if direction == "below":
-            return [self.bottom_id if leq[d][c] else d for d in range(self.m)]
+            row = self._down[c]
+            return [self.bottom_id if row >> d & 1 else d for d in range(self.m)]
         if direction == "above":
-            return [self.top_id if leq[c][d] else d for d in range(self.m)]
+            row = self._up[c]
+            return [self.top_id if row >> d & 1 else d for d in range(self.m)]
         raise InvalidParamsError(f"direction must be 'below' or 'above', got {direction!r}")
 
     def upset_ids(self, v):
@@ -228,14 +255,6 @@ def _ensure_within_cap(m, max_size):
         )
 
 
-def _order_rows(leq, m):
-    """Each position's up-set and down-set under ``leq``, as ints with bit j
-    standing for position j."""
-    up = [sum(1 << j for j in range(m) if leq[i][j]) for i in range(m)]
-    down = [sum(1 << i for i in range(m) if leq[i][j]) for j in range(m)]
-    return up, down
-
-
 def _members(bits):
     """Positions of the set bits, ascending."""
     while bits:
@@ -244,79 +263,92 @@ def _members(bits):
         bits ^= low
 
 
-def _linear_extension(down):
-    """Kahn's algorithm on the down-set rows; ties broken by position
-    (declaration order)."""
-    placed = 0
-    order = []
-    for _ in down:
-        pick = next(
-            i for i, d in enumerate(down)
-            if not placed >> i & 1 and d & ~placed == 1 << i
-        )
-        order.append(pick)
-        placed |= 1 << pick
-    return order
-
-
-def _build_covers(rows, dual):
-    """For each i, the minimal members of rows[i] other than i, ascending:
-    the upper covers when rows are up-sets and dual the down-sets, the lower
-    covers the other way round."""
-    covers = []
-    for i, row in enumerate(rows):
-        strict = row ^ (1 << i)
-        covers.append(tuple(j for j in _members(strict) if strict & dual[j] == 1 << j))
-    return covers
-
-
-def _join_irreducibles_prime(up, covers_down, join_t):
-    """Birkhoff's criterion for distributivity: a finite lattice is
-    distributive iff every join-irreducible j (exactly one lower cover) is
-    join-prime, that is, the join of all x with j not <= x is not >= j."""
-    full = (1 << len(up)) - 1
-    for j, lower in enumerate(covers_down):
-        if len(lower) == 1:
-            s = 0
-            for x in _members(full ^ up[j]):
-                s = join_t[s][x]
-            if up[j] >> s & 1:
-                return False
-    return True
-
-
-def _closure_from_covers(names, covers, what="lattice"):
-    """Reflexive-transitive closure of a cover list; checks acyclicity."""
-    m = len(names)
-    if m == 0:
+def _cover_pairs(names, covers, what):
+    """The (low, high) cover list as pairs of positions in ``names``, once
+    the names are known to be distinct and each pair to join two declared
+    names; in O(len(names) + len(covers))."""
+    if not names:
         raise InvalidParamsError(f"a {what} needs at least one element")
-    if len(set(names)) != m:
-        raise InvalidParamsError(f"duplicate element names in {what}")
     index = {nm: i for i, nm in enumerate(names)}
-    adj = [[] for _ in range(m)]
+    if len(index) != len(names):
+        raise InvalidParamsError(f"duplicate element names in {what}")
+    pairs = []
     for low, high in covers:
         if low not in index or high not in index:
             missing = low if low not in index else high
             raise InvalidParamsError(f"cover pair references undeclared name {missing!r}")
         if low == high:
             raise CycleError(f"cover {low!r} < {high!r} relates an element to itself")
-        adj[index[low]].append(index[high])
-    leq = [[i == j for j in range(m)] for i in range(m)]
-    for start in range(m):
-        stack = list(adj[start])
-        row = leq[start]
+        pairs.append((index[low], index[high]))
+    return pairs
+
+
+def _linear_extension(names, pairs):
+    """Kahn's algorithm over the (low, high) position pairs, taking the
+    smallest ready position first.  A position never ready lies on a cycle
+    or above one; the CycleError names the lowest two positions on a
+    common cycle."""
+    m = len(names)
+    above = [[] for _ in range(m)]
+    waiting = [0] * m
+    for p, q in pairs:
+        above[p].append(q)
+        waiting[q] += 1
+    ready = [p for p in range(m) if not waiting[p]]  # ascending, so a heap
+    order = []
+    while ready:
+        p = heappop(ready)
+        order.append(p)
+        for q in above[p]:
+            waiting[q] -= 1
+            if not waiting[q]:
+                heappush(ready, q)
+    if len(order) == m:
+        return order
+
+    def reach(start):
+        seen, stack = 0, list(above[start])
         while stack:
             v = stack.pop()
-            if not row[v]:
-                row[v] = True
-                stack.extend(adj[v])
-    for i in range(m):
-        for j in range(i + 1, m):
-            if leq[i][j] and leq[j][i]:
-                raise CycleError(
-                    f"the covers create a cycle through {names[i]!r} and {names[j]!r}"
-                )
-    return leq
+            if not seen >> v & 1:
+                seen |= 1 << v
+                stack += above[v]
+        return seen
+
+    i = next(i for i in range(m) if waiting[i] and reach(i) >> i & 1)
+    j = next(j for j in _members(reach(i) ^ 1 << i) if reach(j) >> i & 1)
+    raise CycleError(f"the covers create a cycle through {names[i]!r} and {names[j]!r}")
+
+
+def _down_rows(order, pairs):
+    """Each position's down-set as a bit row under the order generated by
+    the (low, high) pairs: the positions are visited in ``order``, a linear
+    extension, and each ORs in the rows of its lower ends.  Given the
+    reversed extension and the flipped pairs, the up-sets."""
+    lower = [[] for _ in order]
+    for p, q in pairs:
+        lower[q].append(p)
+    rows = [0] * len(lower)
+    for q in order:
+        row = 1 << q
+        for p in lower[q]:
+            row |= rows[p]
+        rows[q] = row
+    return rows
+
+
+def _join_irreducibles_prime(up, down, covers_down):
+    """Birkhoff's criterion for distributivity: a finite lattice is
+    distributive iff every join-irreducible j (exactly one lower cover) is
+    join-prime, that is, the elements not above j have a join not above j.
+    They form a down-set, so that join is in it exactly when the down-set
+    is principal, generated by its highest id."""
+    full = (1 << len(up)) - 1
+    for j, lower in enumerate(covers_down):
+        rest = full ^ up[j]
+        if len(lower) == 1 and rest != down[rest.bit_length() - 1]:
+            return False
+    return True
 
 
 def build_from_covers(name, names, covers, max_size=DEFAULT_MAX_ELEMENTS):
@@ -326,8 +358,9 @@ def build_from_covers(name, names, covers, max_size=DEFAULT_MAX_ELEMENTS):
     top are inferred.  Raises CycleError, NoBoundsError, or NotALatticeError
     when the closure is not a bounded lattice.
     """
-    leq = _closure_from_covers(names, covers)
-    return FiniteLattice(name, list(names), leq, max_size=max_size)
+    pairs = _cover_pairs(names, covers, "lattice")
+    _ensure_within_cap(len(names), max_size)
+    return FiniteLattice._from_covers(name, list(names), pairs)
 
 
 # -- standard constructions -------------------------------------------------
@@ -344,8 +377,7 @@ def chain(k, max_size=DEFAULT_MAX_ELEMENTS):
         names = ["0", "m", "1"]
     else:
         names = ["0"] + [f"c{i}" for i in range(1, k - 1)] + ["1"]
-    leq = [[i <= j for j in range(k)] for i in range(k)]
-    return FiniteLattice(f"chain{k}", names, leq, max_size=max_size)
+    return FiniteLattice._from_covers(f"chain{k}", names, [(i, i + 1) for i in range(k - 1)])
 
 
 def boolean(k, max_size=DEFAULT_MAX_ELEMENTS):
@@ -366,25 +398,20 @@ def boolean(k, max_size=DEFAULT_MAX_ELEMENTS):
         return "".join(_ATOM_LETTERS[i] for i in range(k) if mask >> i & 1)
 
     names = [subset_name(s) for s in range(m)]
-    leq = [[(i & j) == i for j in range(m)] for i in range(m)]
-    return FiniteLattice(f"B{k}", names, leq, max_size=max_size)
+    pairs = [(s, s | 1 << i) for s in range(m) for i in range(k) if not s >> i & 1]
+    return FiniteLattice._from_covers(f"B{k}", names, pairs)
 
 
 def product(lat1, lat2, max_size=DEFAULT_MAX_ELEMENTS):
     """Direct product with the componentwise order."""
     _ensure_within_cap(lat1.m * lat2.m, max_size)
-    names = []
-    pairs = []
-    for e1 in lat1.elements:
-        for e2 in lat2.elements:
-            names.append(f"({e1.name},{e2.name})")
-            pairs.append((e1.id, e2.id))
-    l1, l2 = lat1._leq, lat2._leq
-    leq = [
-        [l1[a1][b1] and l2[a2][b2] for (b1, b2) in pairs]
-        for (a1, a2) in pairs
-    ]
-    return FiniteLattice(f"{lat1.name}x{lat2.name}", names, leq, max_size=max_size)
+    m2 = lat2.m
+    names = [f"({e1.name},{e2.name})" for e1 in lat1.elements for e2 in lat2.elements]
+    # (x, y) sits at position x * m2 + y; a cover raises one side to a cover
+    ids = [(x, y) for x in range(lat1.m) for y in range(m2)]
+    pairs = [(x * m2 + y, c * m2 + y) for x, y in ids for c in lat1.covers_up[x]]
+    pairs += [(x * m2 + y, x * m2 + c) for x, y in ids for c in lat2.covers_up[y]]
+    return FiniteLattice._from_covers(f"{lat1.name}x{lat2.name}", names, pairs)
 
 
 def downset_lattice(poset_names, poset_covers, name=None, max_size=DEFAULT_MAX_ELEMENTS):
@@ -396,8 +423,8 @@ def downset_lattice(poset_names, poset_covers, name=None, max_size=DEFAULT_MAX_E
     p = len(poset_names)
     if p > 20:
         raise InvalidParamsError("downset construction supports at most 20 poset elements")
-    leq = _closure_from_covers(poset_names, poset_covers, what="poset")
-    below = _order_rows(leq, p)[1]
+    pairs = _cover_pairs(poset_names, poset_covers, "poset")
+    below = _down_rows(_linear_extension(poset_names, pairs), pairs)
 
     # a nonempty downset less a maximal element is a downset, so all are met
     downsets, seen = [0], {0}
@@ -415,8 +442,12 @@ def downset_lattice(poset_names, poset_covers, name=None, max_size=DEFAULT_MAX_E
         return "{" + ",".join(poset_names[i] for i in range(p) if mask >> i & 1) + "}"
 
     names = [ds_name(s) for s in downsets]
-    order = [[(a & b) == a for b in downsets] for a in downsets]
-    return FiniteLattice(name or "downsets", names, order, max_size=max_size)
+    # D is covered by D + {j} for each minimal j outside D
+    at = {mask: i for i, mask in enumerate(downsets)}
+    pairs = [
+        (at[d], at[d | 1 << j]) for d in downsets for j in range(p) if below[j] & ~d == 1 << j
+    ]
+    return FiniteLattice._from_covers(name or "downsets", names, pairs)
 
 
 def n5(max_size=DEFAULT_MAX_ELEMENTS):
@@ -483,37 +514,39 @@ def standard_lattice(kind, *params, max_size=DEFAULT_MAX_ELEMENTS):
 
 
 def lattice_from_text(text, source="<lattice>", max_size=DEFAULT_MAX_ELEMENTS):
-    """Parse the lattice text format and construct the lattice."""
+    """Parse the lattice text format and construct the lattice.  The cap is
+    checked on the elements line, before any cover is read."""
     name = None
     names = None
     covers = []
     state = "header"
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if state == "header":
-            if tokens[0] != "lattice" or len(tokens) != 2:
-                raise FormatError("expected 'lattice <name>'", source, lineno)
-            name = tokens[1]
-            state = "elements"
-        elif state == "elements":
-            if tokens[0] != "elements:" or len(tokens) < 2:
-                raise FormatError("expected 'elements: <name> ...'", source, lineno)
-            names = tokens[1:]
-            state = "covers-header"
-        elif state == "covers-header":
-            if tokens != ["covers:"]:
-                raise FormatError("expected 'covers:'", source, lineno)
-            state = "covers"
-        else:
-            if len(tokens) != 3 or tokens[1] != "<":
-                raise FormatError("expected '<low> < <high>'", source, lineno)
-            covers.append((tokens[0], tokens[2]))
-    if state != "covers":
-        raise FormatError(f"incomplete lattice description (stopped at {state})", source)
     try:
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            if state == "header":
+                if tokens[0] != "lattice" or len(tokens) != 2:
+                    raise FormatError("expected 'lattice <name>'", source, lineno)
+                name = tokens[1]
+                state = "elements"
+            elif state == "elements":
+                if tokens[0] != "elements:" or len(tokens) < 2:
+                    raise FormatError("expected 'elements: <name> ...'", source, lineno)
+                names = tokens[1:]
+                _ensure_within_cap(len(names), max_size)
+                state = "covers-header"
+            elif state == "covers-header":
+                if tokens != ["covers:"]:
+                    raise FormatError("expected 'covers:'", source, lineno)
+                state = "covers"
+            else:
+                if len(tokens) != 3 or tokens[1] != "<":
+                    raise FormatError("expected '<low> < <high>'", source, lineno)
+                covers.append((tokens[0], tokens[2]))
+        if state != "covers":
+            raise FormatError(f"incomplete lattice description (stopped at {state})", source)
         return build_from_covers(name, names, covers, max_size=max_size)
     except InvalidParamsError as exc:
         raise FormatError(str(exc), source) from exc

@@ -282,11 +282,11 @@ def _closure_values(lattice, n, budget):
     size = m ** n
     ensure_budget(size * (n + m), budget, "clone generator construction")
 
-    leq, covers_down, covers_up = lattice._leq, lattice.covers_down, lattice.covers_up
+    above, covers_down, covers_up = lattice._up, lattice.covers_down, lattice.covers_up
     joins = [j for j in range(m) if len(covers_down[j]) == 1] or [0]
     meets = [a for a in range(m) if len(covers_up[a]) == 1] or [0]
-    up_cols = ["".join("01"[leq[j][v]] for j in joins) for v in range(m)]
-    down_cols = ["".join("01"[leq[v][a]] for a in meets) for v in range(m)]
+    up_cols = ["".join("01"[above[j] >> v & 1] for j in joins) for v in range(m)]
+    down_cols = ["".join("01"[above[v] >> a & 1] for a in meets) for v in range(m)]
 
     def pack(t, cols):
         return int("".join(map(cols.__getitem__, reversed(t))), 2)

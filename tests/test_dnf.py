@@ -340,15 +340,15 @@ def least_representation(f):
     """alpha^-(I): the join of the join-irreducibles j for which I is a
     minimal subset with j <= alpha_f(I)."""
     lat = f.lattice
-    leq, join_t = lat._leq, lat._join_t
+    leq, join_t = lat.leq, lat._join_t
     alpha_f = extract_alpha(f).coeffs
     irreducibles = [j for j in range(lat.m) if len(lat.covers_down[j]) == 1]
     least = []
     for mask, top in enumerate(alpha_f):
         lo = lat.bottom_id
         for j in irreducibles:
-            if leq[j][top] and not any(
-                leq[j][alpha_f[sub]] for sub in range(mask) if sub & mask == sub
+            if leq(j, top) and not any(
+                leq(j, alpha_f[sub]) for sub in range(mask) if sub & mask == sub
             ):
                 lo = join_t[lo][j]
         least.append(lo)
@@ -363,9 +363,8 @@ def test_product_form_equals_the_search(make, n):
         assert members == naive_enumerate_dnf(f, mode="list")
         assert enumerate_dnf(f, mode="count") == len(members)
         # each factor of the product is the interval [alpha^-(I), alpha_f(I)]
-        leq = lat._leq
         intervals = [
-            tuple(a for a in range(lat.m) if leq[lo][a] and leq[a][hi])
+            tuple(a for a in range(lat.m) if lat.leq(lo, a) and lat.leq(a, hi))
             for lo, hi in zip(least_representation(f), extract_alpha(f).coeffs)
         ]
         assert _choices(f, None) == intervals

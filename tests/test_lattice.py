@@ -165,35 +165,68 @@ def least(candidates, below):
     return [c for c in candidates if all(below(c, d) for d in candidates)]
 
 
-def brute_refusal(names, covers):
-    """The error type a cover relation must be refused with, or None when
-    its closure is a bounded lattice."""
+def kahn_order(names, covers):
+    """The declared positions in the order Kahn's algorithm places them when
+    the smallest ready position goes first: the reference element order."""
     m = len(names)
     leq = brute_closure(names, covers)
-    if any(low == high for low, high in covers) or any(
-        i != j and leq[i][j] and leq[j][i] for i in range(m) for j in range(m)
-    ):
-        return CycleError
-    if not any(all(leq[b]) for b in range(m)) or not any(
-        all(row[t] for row in leq) for t in range(m)
-    ):
-        return NoBoundsError
+    order = []
+    while len(order) < m:
+        order.append(
+            min(
+                p
+                for p in range(m)
+                if p not in order and all(q in order for q in range(m) if q != p and leq[q][p])
+            )
+        )
+    return order
+
+
+def brute_refusal(names, covers):
+    """The error type, message and pair (None but for NotALatticeError) that
+    a cover relation must be refused with under the name 'r', or None when
+    its closure is a bounded lattice."""
+    m = len(names)
+    for low, high in covers:
+        if low not in names or high not in names:
+            missing = low if low not in names else high
+            return InvalidParamsError, f"cover pair references undeclared name {missing!r}", None
+        if low == high:
+            return CycleError, f"cover {low!r} < {high!r} relates an element to itself", None
+    leq = brute_closure(names, covers)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if leq[i][j] and leq[j][i]:
+                text = f"the covers create a cycle through {names[i]!r} and {names[j]!r}"
+                return CycleError, text, None
+    if not any(all(leq[b]) for b in range(m)):
+        return NoBoundsError, "lattice 'r' has no global minimum", None
+    if not any(all(row[t] for row in leq) for t in range(m)):
+        return NoBoundsError, "lattice 'r' has no global maximum", None
+    # pairs in id order, as the constructor scans them
+    order = kahn_order(names, covers)
+    for a in range(m):
+        for b in range(a, m):
+            x, y = order[a], order[b]
+            uppers = [u for u in range(m) if leq[x][u] and leq[y][u]]
+            if not least(uppers, lambda u, v: leq[u][v]):
+                text = f"elements {names[x]!r} and {names[y]!r} have no least upper bound"
+                return NotALatticeError, text, (a, b)
+    # every pair of a finite bounded poset with all joins also has a meet
     for a in range(m):
         for b in range(m):
-            uppers = [u for u in range(m) if leq[a][u] and leq[b][u]]
             lowers = [w for w in range(m) if leq[w][a] and leq[w][b]]
-            if not least(uppers, lambda u, v: leq[u][v]) or not least(
-                lowers, lambda w, v: leq[v][w]
-            ):
-                return NotALatticeError
+            assert least(lowers, lambda w, v: leq[v][w])
     return None
 
 
-def assert_matches_brute_force(lat):
-    """Bounds, meet, join, covers, the order rows, up-sets, intervals and
-    the distributive flag of a built lattice, each against a brute-force
-    reading of its order `_leq`."""
-    m, leq = lat.m, lat._leq
+def assert_matches_brute_force(lat, leq):
+    """The order, bounds, meet, join, covers, the order rows, up-sets,
+    intervals and the distributive flag of a built lattice, each against a
+    brute-force reading of the reference order ``leq``, a matrix on the
+    lattice's ids taken from outside the lattice."""
+    m = lat.m
+    assert [[lat.leq(a, b) for b in range(m)] for a in range(m)] == leq
     assert all(leq[lat.bottom_id]) and all(row[lat.top_id] for row in leq)
     for a in range(m):
         above = [u for u in range(m) if leq[a][u]]
@@ -223,8 +256,9 @@ def assert_matches_brute_force(lat):
 @st.composite
 def cover_relations(draw):
     """Element names and a cover list, declared in a drawn order: arbitrary
-    pairs (cycles and self-covers included), pairs oriented upward, or
-    upward pairs under an added bottom and top."""
+    pairs (cycles and self-covers included, now and then a name that is not
+    declared), pairs oriented upward, or upward pairs under an added bottom
+    and top."""
     shape = draw(st.sampled_from(["any", "upward", "bounded"]))
     m = draw(st.integers(1, 9))
     ids = st.integers(0, m - 1)
@@ -233,6 +267,9 @@ def cover_relations(draw):
         pairs = [(min(p), max(p)) for p in pairs if p[0] != p[1]]
     names = [f"e{i}" for i in range(m)]
     covers = [(names[a], names[b]) for a, b in pairs]
+    if shape == "any" and draw(st.integers(0, 3)) == 0:
+        stray = draw(st.sampled_from([("e0", "zz"), ("zz", "e0")]))
+        covers.insert(draw(st.integers(0, len(covers))), stray)
     if shape == "bounded":
         covers += [("bot", x) for x in names] + [(x, "top") for x in names]
         names += ["bot", "top"]
@@ -245,15 +282,17 @@ def test_cover_relations_match_brute_force(relation):
     names, covers = relation
     refusal = brute_refusal(names, covers)
     if refusal is not None:
-        with pytest.raises(refusal):
+        error, text, pair = refusal
+        with pytest.raises(error) as excinfo:
             build_from_covers("r", names, covers)
+        assert str(excinfo.value) == text
+        assert getattr(excinfo.value, "pair", None) == pair
         return
     lat = build_from_covers("r", names, covers)
+    order = kahn_order(names, covers)
+    assert [e.name for e in lat.elements] == [names[p] for p in order]
     closure = brute_closure(names, covers)
-    for a, x in enumerate(names):
-        for b, y in enumerate(names):
-            assert lat.leq(lat.element(x), lat.element(y)) == closure[a][b]
-    assert_matches_brute_force(lat)
+    assert_matches_brute_force(lat, [[closure[p][q] for q in order] for p in order])
 
 
 @given(data=st.data())
@@ -261,38 +300,62 @@ def test_cover_relations_match_brute_force(relation):
 def test_products_and_downsets_match_brute_force(data):
     if data.draw(st.booleans()):
         factors = st.sampled_from([chain(2), chain(3), boolean(2), n5(), m3()])
-        lat = product(data.draw(factors), data.draw(factors))
+        lat1, lat2 = data.draw(factors), data.draw(factors)
+        lat = product(lat1, lat2)
+        # (a1, a2) has id a1 * |L2| + a2, ordered componentwise
+        pairs = [(a1, a2) for a1 in range(lat1.m) for a2 in range(lat2.m)]
+        assert [e.name for e in lat.elements] == [
+            f"({lat1.elements[a1].name},{lat2.elements[a2].name})" for a1, a2 in pairs
+        ]
+        leq = [[lat1.leq(a1, b1) and lat2.leq(a2, b2) for b1, b2 in pairs] for a1, a2 in pairs]
     else:
         p = data.draw(st.integers(1, 4))
         names = [f"p{i}" for i in range(p)]
         pairs = data.draw(st.sets(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))))
-        lat = downset_lattice(names, [(names[a], names[b]) for a, b in pairs if a < b])
+        covers = [(names[a], names[b]) for a, b in pairs if a < b]
+        lat = downset_lattice(names, covers)
         assert lat.distributive
-    assert_matches_brute_force(lat)
+        # the downsets ascending as masks, ordered by inclusion
+        downsets = scanned_downsets(names, covers)
+        assert [e.name for e in lat.elements] == downset_names(names, downsets)
+        leq = [[a & b == a for b in downsets] for a in downsets]
+    assert_matches_brute_force(lat, leq)
 
 
-def scanned_downset_lattice(names, covers):
-    """The downset lattice from a scan of all 2^p subsets of the poset, each
-    tested for downward closure: the reference for downset_lattice."""
+def scanned_downsets(names, covers):
+    """The downsets of a poset, as masks ascending, from a scan of all 2^p
+    subsets, each tested for downward closure."""
     p = len(names)
     leq = brute_closure(names, covers)
     below = [sum(1 << i for i in range(p) if leq[i][j]) for j in range(p)]
-    downsets = [
+    return [
         mask
         for mask in range(1 << p)
         if all(mask & below[j] == below[j] for j in range(p) if mask >> j & 1)
     ]
-    members = [[names[i] for i in range(p) if mask >> i & 1] for mask in downsets]
+
+
+def downset_names(names, downsets):
+    return [
+        "{" + ",".join(nm for i, nm in enumerate(names) if mask >> i & 1) + "}"
+        for mask in downsets
+    ]
+
+
+def scanned_downset_lattice(names, covers):
+    """The downset lattice from the subset scan, through the order-matrix
+    constructor: the reference for downset_lattice."""
+    downsets = scanned_downsets(names, covers)
     return FiniteLattice(
         "downsets",
-        ["{" + ",".join(ms) + "}" for ms in members],
+        downset_names(names, downsets),
         [[a & b == a for b in downsets] for a in downsets],
     )
 
 
 def assert_same_lattice(lat, ref):
     assert [e.name for e in lat.elements] == [e.name for e in ref.elements]
-    assert lat._leq == ref._leq
+    assert (lat._up, lat._down) == (ref._up, ref._down)
 
 
 @given(data=st.data())
@@ -512,7 +575,39 @@ def test_text_round_trip(pentagon):
     text = lattice_to_text(pentagon)
     again = lattice_from_text(text)
     assert [e.name for e in again.elements] == [e.name for e in pentagon.elements]
-    assert again._leq == pentagon._leq
+    assert (again._up, again._down) == (pentagon._up, pentagon._down)
+
+
+# the lattices of the query benchmark's pool, which it parses from text on
+# every request
+QUERY_POOL = {
+    "chain3": lambda: chain(3),
+    "chain4": lambda: chain(4),
+    "B2": lambda: boolean(2),
+    "B3": lambda: boolean(3),
+    "downsetsN": lambda: downset_lattice(
+        "abcd", [("a", "c"), ("b", "c"), ("b", "d")], name="downsetsN"
+    ),
+    "chain3xchain3": lambda: product(chain(3), chain(3)),
+    "N5": n5,
+    "M3": m3,
+    "B6": lambda: boolean(6),
+    "chain8xchain8": lambda: product(chain(8), chain(8)),
+    "chain48": lambda: chain(48),
+}
+
+
+@pytest.mark.parametrize("make", QUERY_POOL.values(), ids=QUERY_POOL.keys())
+def test_query_pool_round_trips_through_text(make):
+    lat = make()
+    text = lattice_to_text(lat)
+    again = lattice_from_text(text)
+    assert again.elements == lat.elements
+    assert (again._up, again._down) == (lat._up, lat._down)
+    assert (again._meet_t, again._join_t) == (lat._meet_t, lat._join_t)
+    assert (again.covers_up, again.covers_down) == (lat.covers_up, lat.covers_down)
+    assert again.distributive == lat.distributive
+    assert lattice_to_text(again) == text
 
 
 def test_text_comments_and_blanks():
@@ -635,6 +730,20 @@ CHAIN3_TEXT = "lattice c3\nelements: 0 m 1\ncovers:\n"
             id="text-covers-header",
         ),
         pytest.param(
+            lambda: build_from_covers(
+                "loop", ["a", "b", "c"], [("a", "b"), ("b", "a")], max_size=2
+            ),
+            InvalidParamsError,
+            "3 elements exceed the cap of 2; pass max_size to raise it",
+            id="cap-before-cycle",
+        ),
+        pytest.param(
+            lambda: lattice_from_text(CHAIN3_TEXT + "0 < top\n", max_size=2),
+            FormatError,
+            "<lattice>: 3 elements exceed the cap of 2; pass max_size to raise it",
+            id="text-cap-before-covers",
+        ),
+        pytest.param(
             lambda: lattice_from_text(CHAIN3_TEXT + "0 < m\nm < top\n"),
             FormatError,
             "<lattice>: cover pair references undeclared name 'top'",
@@ -648,35 +757,59 @@ def test_refusals(call, error, message):
     assert str(excinfo.value) == message
 
 
+CHAIN_3000 = [f"c{i}" for i in range(3000)]
+CHAIN_3000_COVERS = list(zip(CHAIN_3000, CHAIN_3000[1:]))
+CHAIN_3000_TEXT = (
+    "lattice long\nelements: " + " ".join(CHAIN_3000) + "\ncovers:\n"
+    + "".join(f"{low} < {high}\n" for low, high in CHAIN_3000_COVERS)
+)
+
+
 @pytest.mark.parametrize(
-    "call, message",
+    "call, error, message",
     [
         pytest.param(
             lambda: chain(3000),
+            InvalidParamsError,
             "3000 elements exceed the cap of 256; pass max_size to raise it",
             id="chain-3000",
         ),
         pytest.param(
             lambda: boolean(12),
+            InvalidParamsError,
             "4096 elements exceed the cap of 256; pass max_size to raise it",
             id="boolean-12",
         ),
         pytest.param(
             lambda: boolean(16),
+            InvalidParamsError,
             "65536 elements exceed the cap of 256; pass max_size to raise it",
             id="boolean-16",
         ),
         pytest.param(
             lambda: downset_lattice([f"p{i}" for i in range(20)], []),
+            InvalidParamsError,
             "poset has more downsets than the cap of 256",
             id="antichain-20",
         ),
+        pytest.param(
+            lambda: build_from_covers("long", CHAIN_3000, CHAIN_3000_COVERS),
+            InvalidParamsError,
+            "3000 elements exceed the cap of 256; pass max_size to raise it",
+            id="covers-3000",
+        ),
+        pytest.param(
+            lambda: lattice_from_text(CHAIN_3000_TEXT),
+            FormatError,
+            "<lattice>: 3000 elements exceed the cap of 256; pass max_size to raise it",
+            id="text-3000",
+        ),
     ],
 )
-def test_constructors_refuse_before_they_allocate(call, message):
+def test_constructors_refuse_before_they_allocate(call, error, message):
     tracemalloc.start()
     try:
-        with pytest.raises(InvalidParamsError) as excinfo:
+        with pytest.raises(error) as excinfo:
             call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
