@@ -274,7 +274,7 @@ def dnf_to_term(alpha):
         parts.extend(
             Var(k + 1) for k in range(alpha.arity) if mask >> k & 1
         )
-        summands.append(make_meet(parts) if len(parts) > 1 else parts[0])
+        summands.append(make_meet(parts))
     if not summands:
         return Const(lat.elements[bottom])
     return make_join(summands)

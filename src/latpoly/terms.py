@@ -8,12 +8,12 @@ constants are quoted element names so one grammar serves every lattice)::
     and  := atom ("&" atom)*
     atom := VAR | CONST | "med(" term "," term "," term ")" | "(" term ")"
     VAR  := "x" [1-9][0-9]*
-    CONST := "'" element-name "'"
+    CONST := "'" element-name "'"     (each quote in the name written twice)
 
-Digits are ASCII.  Meet/Join nodes are n-ary and flattened; the parser and
-the factory functions additionally sort children into a canonical order so
-that formatting is deterministic and ``parse(format(t)) == t`` on canonical
-trees.
+Digits are ASCII.  Meet/Join nodes are n-ary: make_meet and make_join
+flatten each and sort its children into a canonical order once, when they
+build it, and the parser builds one only for two or more parts.  So
+formatting is deterministic and ``parse(format(t)) == t`` on canonical trees.
 
 One tabulator evaluates every term, a batch of points at a time, one column
 per coordinate: ``evaluate`` is a batch of one, ``materialize`` the grid.
@@ -109,27 +109,30 @@ def term_key(t):
     return (4, tuple(term_key(c) for c in t.children))
 
 
-def _assoc_flatten(cls, terms):
+def _canonical(cls, terms):
+    """The `cls` node (Meet or Join) of `terms`: children of the same class
+    are flattened into it and the whole sorted by term_key; one part is
+    returned as is."""
     flat = []
     for t in terms:
         if isinstance(t, cls):
             flat.extend(t.children)
         else:
             flat.append(t)
+    if len(flat) == 1:
+        return flat[0]
     flat.sort(key=term_key)
-    return flat
+    return cls(tuple(flat))
 
 
 def make_meet(terms):
     """Canonical meet: flattens nested meets, sorts, collapses singletons."""
-    flat = _assoc_flatten(Meet, terms)
-    return flat[0] if len(flat) == 1 else Meet(tuple(flat))
+    return _canonical(Meet, terms)
 
 
 def make_join(terms):
     """Canonical join: flattens nested joins, sorts, collapses singletons."""
-    flat = _assoc_flatten(Join, terms)
-    return flat[0] if len(flat) == 1 else Join(tuple(flat))
+    return _canonical(Join, terms)
 
 
 def make_med(a, b, c):
@@ -153,11 +156,13 @@ def _tokenize(text):
             continue
         if ch == "'":
             end = text.find("'", i + 1)
+            while end >= 0 and text.startswith("''", end):  # a quote in the name
+                end = text.find("'", end + 2)
             if end < 0:
                 raise TermSyntaxError(
                     "unterminated element name", position=i, expected="closing '"
                 )
-            tokens.append(("const", text[i + 1 : end], i))
+            tokens.append(("const", text[i + 1 : end].replace("''", "'"), i))
             i = end + 1
             continue
         if ch.isalpha() or ch == "_":
@@ -186,84 +191,6 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens, lattice, arity):
-        self.tokens = tokens
-        self.lattice = lattice
-        self.arity = arity
-        self.pos = 0
-
-    def _peek(self):
-        return self.tokens[self.pos]
-
-    def _take(self, kind, expected):
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise TermSyntaxError(
-                f"unexpected {tok[1]!r}" if tok[0] != "end" else "unexpected end of input",
-                position=tok[2],
-                expected=expected,
-            )
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        t = self._or()
-        tok = self._peek()
-        if tok[0] != "end":
-            raise TermSyntaxError(
-                f"unexpected {tok[1]!r}", position=tok[2], expected="end of input"
-            )
-        return t
-
-    def _or(self):
-        parts = [self._and()]
-        while self._peek()[0] == "|":
-            self.pos += 1
-            parts.append(self._and())
-        return make_join(parts)
-
-    def _and(self):
-        parts = [self._atom()]
-        while self._peek()[0] == "&":
-            self.pos += 1
-            parts.append(self._atom())
-        return make_meet(parts)
-
-    def _atom(self):
-        kind, value, pos = self._peek()
-        if kind == "var":
-            self.pos += 1
-            if value < 1 or value > self.arity:
-                raise VarOutOfRangeError(
-                    f"x{value} is out of range for arity {self.arity}"
-                )
-            return Var(value)
-        if kind == "const":
-            self.pos += 1
-            return Const(self.lattice.element(value))
-        if kind == "med":
-            self.pos += 1
-            self._take("(", "'('")
-            a = self._or()
-            self._take(",", "','")
-            b = self._or()
-            self._take(",", "','")
-            c = self._or()
-            self._take(")", "')'")
-            return make_med(a, b, c)
-        if kind == "(":
-            self.pos += 1
-            t = self._or()
-            self._take(")", "')'")
-            return t
-        raise TermSyntaxError(
-            f"unexpected {value!r}" if kind != "end" else "unexpected end of input",
-            position=pos,
-            expected="a variable, constant, med(...), or '('",
-        )
-
-
 # parentheses a term may nest; parsing and evaluation recurse once per level
 MAX_TERM_DEPTH = 100
 
@@ -278,7 +205,68 @@ def parse_term(text, lattice, arity):
             raise TermSyntaxError(
                 f"term nests deeper than {MAX_TERM_DEPTH} parentheses", position=pos
             )
-    return _Parser(tokens, lattice, arity).parse()
+    at = 0
+
+    def expect(kind, expected):
+        nonlocal at
+        found, value, pos = tokens[at]
+        if found != kind:
+            raise TermSyntaxError(
+                "unexpected end of input" if found == "end" else f"unexpected {value!r}",
+                position=pos,
+                expected=expected,
+            )
+        at += 1
+
+    def join():
+        nonlocal at
+        parts = [meet()]
+        while tokens[at][0] == "|":
+            at += 1
+            parts.append(meet())
+        return parts[0] if len(parts) == 1 else make_join(parts)
+
+    def meet():
+        nonlocal at
+        parts = [atom()]
+        while tokens[at][0] == "&":
+            at += 1
+            parts.append(atom())
+        return parts[0] if len(parts) == 1 else make_meet(parts)
+
+    def atom():
+        nonlocal at
+        kind, value, _ = tokens[at]
+        if kind == "var":
+            if value < 1 or value > arity:
+                raise VarOutOfRangeError(f"x{value} is out of range for arity {arity}")
+            at += 1
+            return Var(value)
+        if kind == "const":
+            at += 1
+            return Const(lattice.element(value))
+        if kind == "med":
+            at += 1
+            expect("(", "'('")
+            children = []
+            for close in ",,)":
+                children.append(join())
+                expect(close, f"'{close}'")
+            return Med(tuple(children))
+        # "(" term ")"; any other token starts no atom
+        expect("(", "a variable, constant, med(...), or '('")
+        t = join()
+        expect(")", "')'")
+        return t
+
+    try:
+        t = join()
+        expect("end", "end of input")
+    finally:
+        # join, meet and atom call one another, a reference cycle that would
+        # hold the tokens and the lattice until the next garbage collection
+        del join
+    return t
 
 
 def format_term(t):
@@ -290,7 +278,7 @@ def _fmt(t, level):
     if isinstance(t, Var):
         return f"x{t.index}"
     if isinstance(t, Const):
-        return f"'{t.element.name}'"
+        return "'" + t.element.name.replace("'", "''") + "'"
     if isinstance(t, Med):
         a, b, c = t.children
         return f"med({_fmt(a, 0)}, {_fmt(b, 0)}, {_fmt(c, 0)})"

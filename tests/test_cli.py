@@ -211,6 +211,25 @@ def test_normalize_median(capsys, chain3_file):
     assert out[4].startswith("term: ")
 
 
+def test_normalize_term_line_reads_back_with_a_quote_in_a_name(capsys, tmp_path):
+    lat = tmp_path / "q.lat"
+    lat.write_text("lattice q\nelements: 0 a' 1\ncovers:\n0 < a'\na' < 1\n")
+    code, out = run(
+        capsys, "normalize", "--lattice", str(lat), "--arity", "1", "--term", "'a''' | x1"
+    )
+    assert code == 0
+    assert out == ["{} -> a'", "{1} -> 1", "term: x1 | 'a'''"]
+    code, out = run(
+        capsys,
+        "equiv",
+        "--lattice", str(lat),
+        "--arity", "1",
+        "--term", out[-1].removeprefix("term: "),
+        "--term", "x1 | 'a'''",
+    )
+    assert (code, out) == (0, ["equivalent: true"])
+
+
 def test_normalize_rejects_non_distributive(capsys, n5_file):
     code, _ = run(
         capsys,

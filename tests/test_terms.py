@@ -1,10 +1,13 @@
+import gc
 import random
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latpoly import terms
 from latpoly import (
     Const,
     FunctionTable,
@@ -13,6 +16,7 @@ from latpoly import (
     Meet,
     Var,
     boolean,
+    build_from_covers,
     chain,
     delta,
     evaluate,
@@ -29,6 +33,7 @@ from latpoly import (
     table_to_text,
 )
 from latpoly.conditions import is_order_preserving
+from latpoly.terms import MAX_TERM_DEPTH, term_key
 
 from conftest import naive_substitute
 from latpoly.errors import (
@@ -40,6 +45,12 @@ from latpoly.errors import (
     TermSyntaxError,
     UnknownElementError,
     VarOutOfRangeError,
+)
+
+CHAIN3 = chain(3)
+# element names holding quotes, which terms write twice
+QUOTES = build_from_covers(
+    "quotes", ["0", "a'", "''b", "1"], [("0", "a'"), ("0", "''b"), ("a'", "1"), ("''b", "1")]
 )
 
 # -- parsing -------------------------------------------------------------------
@@ -83,6 +94,242 @@ def test_syntax_error_carries_position(chain3):
     assert excinfo.value.position == 5
 
 
+def test_quotes_inside_element_names_are_written_twice():
+    a, b = Const(QUOTES.element("a'")), Const(QUOTES.element("''b"))
+    for term, text in [
+        (make_join([Var(1), a]), "x1 | 'a'''"),
+        (make_meet([a, b]), "'a''' & '''''b'"),
+    ]:
+        assert format_term(term) == text
+        assert parse_term(text, QUOTES, 1) == term
+    with pytest.raises(TermSyntaxError) as excinfo:
+        parse_term("x1 | 'a''", QUOTES, 1)
+    assert str(excinfo.value) == "unterminated element name at position 5 (expected closing ')"
+
+
+def test_one_part_sums_and_products_are_not_rebuilt(monkeypatch):
+    calls = []
+    for name in ("make_meet", "make_join"):
+
+        def counted(parts, name=name, build=getattr(terms, name)):
+            calls.append(name)
+            return build(parts)
+
+        monkeypatch.setattr(terms, name, counted)
+    assert parse_term("(" * 100 + "x1" + ")" * 100, CHAIN3, 3) == Var(1)
+    assert parse_term("med(x1, x2, x3)", CHAIN3, 3) == make_med(Var(1), Var(2), Var(3))
+    assert calls == []
+    parse_term("x1 & x2", CHAIN3, 3)
+    assert calls == ["make_meet"]
+
+
+@pytest.mark.parametrize("text", ["x1 & (x2 | '0') | med(x1, x2, x1)", "x1 & (x2 | "])
+def test_a_parsed_lattice_is_freed_by_reference_counting(text):
+    lat = chain(2)
+    ref = weakref.ref(lat)
+    gc.disable()
+    try:
+        try:
+            parse_term(text, lat, 2)
+        except TermSyntaxError:
+            pass
+        del lat
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+# The class-based parser that parse_term replaced, kept as the reference for
+# its outcomes: every text gives the same tree, or the same error type, text,
+# position and expected.  Its tokenizer ends a quoted name at the next quote,
+# so texts holding '' (a quote doubled inside a name) read differently.  It
+# builds every sum and product through its own canonical flatten and sort.
+
+
+def _reference_canonical(cls, terms):
+    flat = []
+    for t in terms:
+        if isinstance(t, cls):
+            flat.extend(t.children)
+        else:
+            flat.append(t)
+    flat.sort(key=term_key)
+    return flat[0] if len(flat) == 1 else cls(tuple(flat))
+
+
+def _reference_tokenize(text):
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "&|(),":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        if ch == "'":
+            end = text.find("'", i + 1)
+            if end < 0:
+                raise TermSyntaxError(
+                    "unterminated element name", position=i, expected="closing '"
+                )
+            tokens.append(("const", text[i + 1 : end], i))
+            i = end + 1
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            if word == "med":
+                tokens.append(("med", word, i))
+            elif word[0] == "x" and word[1:].isascii() and word[1:].isdigit():
+                if len(word) > 101:
+                    raise TermSyntaxError("variable index longer than 100 digits", position=i)
+                tokens.append(("var", int(word[1:]), i))
+            else:
+                raise TermSyntaxError(
+                    f"unexpected symbol {word!r}",
+                    position=i,
+                    expected="x<k>, 'name', or med(...)",
+                )
+            i = j
+            continue
+        raise TermSyntaxError(
+            f"unexpected character {ch!r}", position=i, expected="a term"
+        )
+    tokens.append(("end", None, n))
+    return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, tokens, lattice, arity):
+        self.tokens = tokens
+        self.lattice = lattice
+        self.arity = arity
+        self.pos = 0
+
+    def _peek(self):
+        return self.tokens[self.pos]
+
+    def _take(self, kind, expected):
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise TermSyntaxError(
+                f"unexpected {tok[1]!r}" if tok[0] != "end" else "unexpected end of input",
+                position=tok[2],
+                expected=expected,
+            )
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        t = self._or()
+        tok = self._peek()
+        if tok[0] != "end":
+            raise TermSyntaxError(
+                f"unexpected {tok[1]!r}", position=tok[2], expected="end of input"
+            )
+        return t
+
+    def _or(self):
+        parts = [self._and()]
+        while self._peek()[0] == "|":
+            self.pos += 1
+            parts.append(self._and())
+        return _reference_canonical(Join, parts)
+
+    def _and(self):
+        parts = [self._atom()]
+        while self._peek()[0] == "&":
+            self.pos += 1
+            parts.append(self._atom())
+        return _reference_canonical(Meet, parts)
+
+    def _atom(self):
+        kind, value, pos = self._peek()
+        if kind == "var":
+            self.pos += 1
+            if value < 1 or value > self.arity:
+                raise VarOutOfRangeError(
+                    f"x{value} is out of range for arity {self.arity}"
+                )
+            return Var(value)
+        if kind == "const":
+            self.pos += 1
+            return Const(self.lattice.element(value))
+        if kind == "med":
+            self.pos += 1
+            self._take("(", "'('")
+            a = self._or()
+            self._take(",", "','")
+            b = self._or()
+            self._take(",", "','")
+            c = self._or()
+            self._take(")", "')'")
+            return Med((a, b, c))
+        if kind == "(":
+            self.pos += 1
+            t = self._or()
+            self._take(")", "')'")
+            return t
+        raise TermSyntaxError(
+            f"unexpected {value!r}" if kind != "end" else "unexpected end of input",
+            position=pos,
+            expected="a variable, constant, med(...), or '('",
+        )
+
+
+def reference_parse_term(text, lattice, arity):
+    tokens = _reference_tokenize(text)
+    depth = 0
+    for kind, _, pos in tokens:
+        depth += (kind == "(") - (kind == ")")
+        if depth > MAX_TERM_DEPTH:
+            raise TermSyntaxError(
+                f"term nests deeper than {MAX_TERM_DEPTH} parentheses", position=pos
+            )
+    return _ReferenceParser(tokens, lattice, arity).parse()
+
+
+def _outcome(parse, text, lattice, arity):
+    try:
+        return parse(text, lattice, arity)
+    except (TermSyntaxError, VarOutOfRangeError, UnknownElementError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None), getattr(exc, "expected", None)
+
+
+# tokens and near-tokens of the grammar over chain(3) at arity 3
+TEXT_PIECES = [
+    "x1", "x2", "x3", "x4", "x0", "x01", "x" + "7" * 120, "x٣", "x²",
+    "'", "'m'", "'0'", "'1'", "'q'", "'m", "med(", "med", "med ", "mediant",
+    "(", ")", "(" * 60, ")" * 60, ",", "&", "|", " ", "\t", "@", "y", "_", "é", "٣",
+]
+
+
+@st.composite
+def term_texts(draw):
+    if draw(st.booleans()):
+        pieces = draw(st.lists(st.sampled_from(TEXT_PIECES), max_size=30))
+        return draw(st.sampled_from(["", " "])).join(pieces)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    text = format_term(random_term(rng, CHAIN3, 3, max_depth=draw(st.integers(0, 6))))
+    for _ in range(draw(st.integers(0, 4))):
+        cut = draw(st.integers(0, len(text)))
+        end = draw(st.integers(cut, min(len(text), cut + 3)))
+        text = text[:cut] + draw(st.sampled_from(TEXT_PIECES + [""])) + text[end:]
+    return text
+
+
+@given(text=term_texts().filter(lambda text: "''" not in text))
+@settings(max_examples=600, deadline=None)
+def test_parse_term_agrees_with_the_reference_parser(text):
+    expected = _outcome(reference_parse_term, text, CHAIN3, 3)
+    assert _outcome(parse_term, text, CHAIN3, 3) == expected
+
+
 # -- formatting ----------------------------------------------------------------
 
 
@@ -121,8 +368,9 @@ def _term_strategy(lat, arity):
 @given(data=st.data())
 @settings(max_examples=200)
 def test_parse_format_round_trip(data, chain3):
-    t = data.draw(_term_strategy(chain3, 3))
-    assert parse_term(format_term(t), chain3, 3) == t
+    lat = data.draw(st.sampled_from([chain3, QUOTES]))
+    t = data.draw(_term_strategy(lat, 3))
+    assert parse_term(format_term(t), lat, 3) == t
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -303,7 +551,6 @@ def test_function_table_validates_length(chain2):
 
 # -- points are checked where they enter ---------------------------------------
 
-CHAIN3 = chain(3)
 MEET_TERM = parse_term("x1 & x2", CHAIN3, 2)
 JOIN_TERM = parse_term("x1 | x2", CHAIN3, 2)
 MEET = materialize(CHAIN3, MEET_TERM, 2)
