@@ -365,17 +365,13 @@ def check_delta_preservation(f, which="both", budget=None):
 # -- composite conditions ----------------------------------------------------
 
 
-def _delta_sub_check(which):
+def _delta_verdict(f, budget, memo, which):
     """The delta verdict for key `which` of _delta_failures, whose dict is
     kept in the memo so that the diagonal scan runs at most once per table."""
-
-    def check(f, budget, scope, memo):
-        if "delta" not in memo:
-            memo["delta"] = _delta_failures(f, budget=budget)
-        w = memo["delta"].get(which)
-        return (w is None), w
-
-    return check
+    if "delta" not in memo:
+        memo["delta"] = _delta_failures(f, budget=budget)
+    w = memo["delta"].get(which)
+    return (w is None), w
 
 
 # The sub-checks of the composite conditions: name -> (tag, check), where
@@ -397,8 +393,8 @@ _SUB_CHECKS = {
     "hor_join": ("(4d)", lambda f, budget, scope, memo: check_horizontal(f, "join", budget)),
     "idem": ("(5)", lambda f, budget, scope, memo: check_range_idempotency(f, budget)),
     "convex": (None, lambda f, budget, scope, memo: check_range_convexity(f, budget)),
-    "delta_both": (None, _delta_sub_check("both")),
-    "delta_join": (None, _delta_sub_check("join")),
+    "delta_both": (None, lambda f, budget, scope, memo: _delta_verdict(f, budget, memo, "both")),
+    "delta_join": (None, lambda f, budget, scope, memo: _delta_verdict(f, budget, memo, "join")),
 }
 
 # sub-checks per condition, in the order the equivalence states them
@@ -461,15 +457,12 @@ def evaluate_all_conditions(f, budget=None, known_polynomial=None, scope="interv
         polynomial = bool(known_polynomial)
     op_ok, op_w = is_order_preserving(f, budget=budget)
     memo = {}
-    entries = {}
-    ok, w = _condition_verdict(f, "ii", budget, scope, memo)
-    entries["ii"] = ConditionEntry(ok, w)
-    for cond in ("iii", "iv", "v", "vi"):
-        if op_ok:
-            ok, w = _condition_verdict(f, cond, budget, scope, memo)
-            entries[cond] = ConditionEntry(ok, w)
-        else:
-            entries[cond] = ConditionEntry(None, None)
+    entries = {
+        cond: ConditionEntry(*_condition_verdict(f, cond, budget, scope, memo))
+        if op_ok or cond == "ii"
+        else ConditionEntry(None, None)
+        for cond in CONDITION_IDS
+    }
     verdicts = {e.holds for e in entries.values() if e.holds is not None}
     verdicts.add(polynomial)
     return ConditionReport(

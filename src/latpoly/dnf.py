@@ -40,18 +40,19 @@ from .errors import (
     NotDistributiveError,
     NotPolynomialError,
 )
+from .points import check_arity
 from .terms import Const, Var, _tabulate, evaluate, make_join, make_meet
 
 MAX_DNF_VARS = 20
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def subset_masks(n):
     """All bitmasks over n positions, increasing cardinality then numeric.
 
     This is the one arity rule for work over subsets of the positions:
     each such function calls it before charging the budget."""
-    if n < 0 or n > MAX_DNF_VARS:
+    if check_arity(n) > MAX_DNF_VARS:
         raise InvalidParamsError(
             f"subset enumeration supports 0..{MAX_DNF_VARS} positions, got {n}"
         )
@@ -232,6 +233,7 @@ def equivalent(lattice, t1, t2, arity, budget=None):
     restriction); otherwise all |L|^n points are compared.  Returns
     (equal, first_differing_point_or_None).
     """
+    arity = check_arity(arity)
     if lattice.distributive:
         bottom, top = lattice.bottom_id, lattice.top_id
         masks = subset_masks(arity)

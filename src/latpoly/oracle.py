@@ -23,6 +23,7 @@ from .errors import (
     NotDistributiveError,
     NotNonDistributiveError,
 )
+from .points import check_arity
 from .terms import FunctionTable, materialize
 
 
@@ -36,7 +37,7 @@ class FunctionSet:
 
     def __init__(self, lattice, arity, tables=()):
         self.lattice = lattice
-        self.arity = arity
+        self.arity = check_arity(arity)
         self._values = set()
         for t in tables:
             self.add(t)
@@ -142,7 +143,7 @@ def _monotone_assignments(lattice, lower, rows=None):
 def iter_monotone_tables(lattice, n):
     """All order-preserving tables L^n -> L, in canonical order: values are
     assigned along the grid's linear extension."""
-    yield from _monotone_assignments(lattice, grid_map(lattice, n, "lower covers"))
+    return _monotone_assignments(lattice, grid_map(lattice, check_arity(n), "lower covers"))
 
 
 def _unsettled_tables(lattice, n):
@@ -168,7 +169,7 @@ def count_monotone_tables(lattice, n, stop_after=None):
     as soon as it passes `stop_after`.  No recursion: an explicit stack
     holds one key per position, like _monotone_assignments.
     """
-    covers = grid_map(lattice, n, "covers")
+    covers = grid_map(lattice, check_arity(n), "covers")
     join_t = lattice._join_t
     ups = lattice.upsets
     size = lattice.m**n
@@ -221,9 +222,9 @@ def random_monotone_table(lattice, n, rng):
     0, 1, 7, 11 and 1324 hold only 280-315 distinct tables, and 317-357
     of the draws are the constant-top table.
     """
+    lower = grid_map(lattice, check_arity(n), "lower covers")
     join_t = lattice._join_t
     ups = lattice.upsets
-    lower = grid_map(lattice, n, "lower covers")
     values = [0] * len(lower)
     for i, below in enumerate(lower):
         values[i] = rng.choice(ups[_floor(join_t, below, values)])
@@ -274,7 +275,7 @@ def _closure_values(lattice, n, budget):
     The lattice's cache keeps only this frozenset of tuples, nothing that
     refers back to the lattice, so a dropped lattice is freed at once.
     """
-    key = ("closure", n)
+    key = ("closure", check_arity(n))
     cached = lattice._cache.get(key)
     if cached is not None:
         return cached

@@ -18,6 +18,15 @@ import operator
 from .errors import ArityMismatchError, InvalidParamsError
 
 
+def check_arity(n):
+    """`n` as an int if it is a non-negative integer, else InvalidParamsError;
+    every public function that takes an arity calls it before any |L|^n work."""
+    arity = operator.index(n) if hasattr(type(n), "__index__") else -1
+    if arity < 0:
+        raise InvalidParamsError(f"arity must be a non-negative integer, got {n!r}")
+    return arity
+
+
 def point_ids(point, m):
     """`point`, ids or Elements, as a tuple of ids; InvalidParamsError
     unless every id lies in 0..m-1."""
@@ -33,18 +42,11 @@ class PointSpace:
 
     def __init__(self, m, n):
         if m < 1:
-            raise ValueError("carrier must have at least one element")
-        if n < 0:
-            raise ValueError("arity must be non-negative")
+            raise InvalidParamsError("carrier must have at least one element")
         self.m = m
-        self.n = n
+        self.n = n = check_arity(n)
         self.size = m ** n
-        strides = []
-        s = 1
-        for _ in range(n):
-            strides.append(s)
-            s *= m
-        self.strides = tuple(reversed(strides))
+        self.strides = tuple(m ** k for k in reversed(range(n)))
 
     def iter_points(self):
         return itertools.product(range(self.m), repeat=self.n)

@@ -17,6 +17,8 @@ formatting is deterministic and ``parse(format(t)) == t`` on canonical trees.
 
 One tabulator evaluates every term, a batch of points at a time, one column
 per coordinate: ``evaluate`` is a batch of one, ``materialize`` the grid.
+The parser and the tabulator recurse through module functions over explicit
+arguments, not nested closures, so no call leaves a reference cycle.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
     VarOutOfRangeError,
 )
 from .lattice import Element, read_text_file
-from .points import point_ids
+from .points import check_arity, point_ids
 
 
 # -- AST ----------------------------------------------------------------------
@@ -96,17 +98,16 @@ class Med:
             raise ValueError("med takes exactly three subterms")
 
 
+_RANKS = {Med: 2, Meet: 3, Join: 4}
+
+
 def term_key(t):
     """Total structural order on terms, used for canonical child order."""
     if isinstance(t, Var):
         return (0, t.index)
     if isinstance(t, Const):
         return (1, t.element.id)
-    if isinstance(t, Med):
-        return (2, tuple(term_key(c) for c in t.children))
-    if isinstance(t, Meet):
-        return (3, tuple(term_key(c) for c in t.children))
-    return (4, tuple(term_key(c) for c in t.children))
+    return (_RANKS[type(t)], tuple(map(term_key, t.children)))
 
 
 def _canonical(cls, terms):
@@ -197,6 +198,7 @@ MAX_TERM_DEPTH = 100
 
 def parse_term(text, lattice, arity):
     """Parse a term over `lattice` with variables x1..x<arity>."""
+    arity = check_arity(arity)
     tokens = _tokenize(text)
     depth = 0
     for kind, _, pos in tokens:
@@ -205,68 +207,63 @@ def parse_term(text, lattice, arity):
             raise TermSyntaxError(
                 f"term nests deeper than {MAX_TERM_DEPTH} parentheses", position=pos
             )
-    at = 0
-
-    def expect(kind, expected):
-        nonlocal at
-        found, value, pos = tokens[at]
-        if found != kind:
-            raise TermSyntaxError(
-                "unexpected end of input" if found == "end" else f"unexpected {value!r}",
-                position=pos,
-                expected=expected,
-            )
-        at += 1
-
-    def join():
-        nonlocal at
-        parts = [meet()]
-        while tokens[at][0] == "|":
-            at += 1
-            parts.append(meet())
-        return parts[0] if len(parts) == 1 else make_join(parts)
-
-    def meet():
-        nonlocal at
-        parts = [atom()]
-        while tokens[at][0] == "&":
-            at += 1
-            parts.append(atom())
-        return parts[0] if len(parts) == 1 else make_meet(parts)
-
-    def atom():
-        nonlocal at
-        kind, value, _ = tokens[at]
-        if kind == "var":
-            if value < 1 or value > arity:
-                raise VarOutOfRangeError(f"x{value} is out of range for arity {arity}")
-            at += 1
-            return Var(value)
-        if kind == "const":
-            at += 1
-            return Const(lattice.element(value))
-        if kind == "med":
-            at += 1
-            expect("(", "'('")
-            children = []
-            for close in ",,)":
-                children.append(join())
-                expect(close, f"'{close}'")
-            return Med(tuple(children))
-        # "(" term ")"; any other token starts no atom
-        expect("(", "a variable, constant, med(...), or '('")
-        t = join()
-        expect(")", "')'")
-        return t
-
-    try:
-        t = join()
-        expect("end", "end of input")
-    finally:
-        # join, meet and atom call one another, a reference cycle that would
-        # hold the tokens and the lattice until the next garbage collection
-        del join
+    t, at = _join(tokens, 0, lattice, arity)
+    _expect(tokens, at, "end", "end of input")
     return t
+
+
+# Each grammar level reads from tokens[at] on (constants and variables against
+# the lattice and arity) and returns the term it read and the index after it.
+def _expect(tokens, at, kind, expected):
+    """`at` + 1 when tokens[at] is a `kind`, else TermSyntaxError."""
+    found, value, pos = tokens[at]
+    if found != kind:
+        raise TermSyntaxError(
+            "unexpected end of input" if found == "end" else f"unexpected {value!r}",
+            position=pos,
+            expected=expected,
+        )
+    return at + 1
+
+
+def _join(tokens, at, lattice, arity):
+    part, at = _meet(tokens, at, lattice, arity)
+    parts = [part]
+    while tokens[at][0] == "|":
+        part, at = _meet(tokens, at + 1, lattice, arity)
+        parts.append(part)
+    return (part if len(parts) == 1 else make_join(parts)), at
+
+
+def _meet(tokens, at, lattice, arity):
+    part, at = _atom(tokens, at, lattice, arity)
+    parts = [part]
+    while tokens[at][0] == "&":
+        part, at = _atom(tokens, at + 1, lattice, arity)
+        parts.append(part)
+    return (part if len(parts) == 1 else make_meet(parts)), at
+
+
+def _atom(tokens, at, lattice, arity):
+    kind, value, _ = tokens[at]
+    if kind == "var":
+        if value < 1 or value > arity:
+            raise VarOutOfRangeError(f"x{value} is out of range for arity {arity}")
+        return Var(value), at + 1
+    if kind == "const":
+        return Const(lattice.element(value)), at + 1
+    if kind == "med":
+        at = _expect(tokens, at + 1, "(", "'('")
+        children = []
+        for close in ",,)":
+            t, at = _join(tokens, at, lattice, arity)
+            children.append(t)
+            at = _expect(tokens, at, close, f"'{close}'")
+        return Med(tuple(children)), at
+    # "(" term ")"; any other token starts no atom
+    at = _expect(tokens, at, "(", "a variable, constant, med(...), or '('")
+    t, at = _join(tokens, at, lattice, arity)
+    return t, _expect(tokens, at, ")", "')'")
 
 
 def format_term(t):
@@ -301,31 +298,34 @@ def _tabulate(lattice, term, points):
     """The values of `term` at `points`, tuples of ids, in their order.  Up
     to _BATCH points are taken at a time as one column per coordinate, and
     each node is evaluated over the whole column."""
-    meet_t, join_t = lattice._meet_t, lattice._join_t
-
-    def column(t):
-        if isinstance(t, Var):
-            if t.index <= len(cols):
-                return cols[t.index - 1]
-            raise ArityMismatchError(f"term uses x{t.index} but the point has arity {len(cols)}")
-        if isinstance(t, Const):
-            return [t.element.id] * len(batch)
-        if isinstance(t, Med):
-            a, b, c = map(column, t.children)
-            return [
-                meet_t[meet_t[join_t[x][y]][join_t[x][z]]][join_t[y][z]]
-                for x, y, z in zip(a, b, c)
-            ]
-        op = meet_t if isinstance(t, Meet) else join_t
-        acc = column(t.children[0])
-        for c in t.children[1:]:
-            acc = [op[x][y] for x, y in zip(acc, column(c))]
-        return acc
-
+    tables = lattice._meet_t, lattice._join_t
     points = iter(points)
     while batch := list(islice(points, _BATCH)):
-        cols = list(zip(*batch))
-        yield from column(term)
+        yield from _column(term, list(zip(*batch)), len(batch), tables)
+
+
+def _column(t, cols, width, tables):
+    """The values of `t` at `width` points whose coordinate k is cols[k-1],
+    a column of ids; `tables` is the lattice's (meet, join) table pair."""
+    cls = type(t)
+    if cls is Var:
+        if t.index <= len(cols):
+            return cols[t.index - 1]
+        raise ArityMismatchError(f"term uses x{t.index} but the point has arity {len(cols)}")
+    if cls is Const:
+        return [t.element.id] * width
+    if cls is Med:
+        meet_t, join_t = tables
+        a, b, c = [_column(u, cols, width, tables) for u in t.children]
+        return [
+            meet_t[meet_t[join_t[x][y]][join_t[x][z]]][join_t[y][z]]
+            for x, y, z in zip(a, b, c)
+        ]
+    op = tables[cls is Join]
+    acc = _column(t.children[0], cols, width, tables)
+    for c in t.children[1:]:
+        acc = [op[x][y] for x, y in zip(acc, _column(c, cols, width, tables))]
+    return acc
 
 
 def evaluate(lattice, term, point):
@@ -342,6 +342,7 @@ class FunctionTable:
     __slots__ = ("lattice", "arity", "values")
 
     def __init__(self, lattice, arity, values):
+        arity = check_arity(arity)
         values = tuple(map(operator.index, values))
         if len(values) != lattice.m ** arity:
             raise ArityMismatchError(
@@ -380,7 +381,7 @@ class FunctionTable:
 
 def materialize(lattice, term, arity, budget=None):
     """Evaluate a term at every point of L^n, in canonical point order."""
-    ensure_budget(lattice.m ** arity, budget, "term tabulation")
+    ensure_budget(lattice.m ** check_arity(arity), budget, "term tabulation")
     points = lattice.point_space(arity).iter_points()
     return FunctionTable(lattice, arity, _tabulate(lattice, term, points))
 
@@ -480,6 +481,7 @@ def load_table(path, lattice):
 
 def random_term(rng, lattice, arity, max_depth=5):
     """Seeded random term of bounded depth over the given lattice."""
+    check_arity(arity)
     if max_depth <= 0 or rng.random() < 0.3:
         if arity >= 1 and rng.random() < 0.6:
             return Var(rng.randint(1, arity))

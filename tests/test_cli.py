@@ -102,6 +102,20 @@ def test_check_unknown_condition(capsys, chain3_file, step_file):
     assert code == 2
 
 
+def test_check_refuses_an_empty_condition_list(capsys, chain3_file, step_file):
+    code = main([
+        "check",
+        "--lattice", str(chain3_file),
+        "--arity", "1",
+        "--table", str(step_file),
+        "--conditions", ",",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --conditions must name at least one condition\n"
+
+
 def test_check_scope_all_is_stronger(capsys, chain3_file):
     # x1 | 'm' is polynomial, so the interval-scope conditions hold, but
     # homogeneity over every threshold fails below f(bottom)

@@ -1,8 +1,33 @@
+import random
+import re
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latpoly import (
+    Const,
+    DNFMap,
+    FunctionSet,
+    FunctionTable,
+    Var,
+    chain,
+    closure_polynomials,
+    count_monotone_tables,
+    enumerate_polynomials_distributive,
+    equivalent,
+    find_nondistributive_witness,
+    iter_monotone_tables,
+    materialize,
+    n5,
+    parse_term,
+    random_monotone_table,
+    random_term,
+    subset_masks,
+    verify_equivalence,
+)
+from latpoly.errors import InvalidParamsError
 from latpoly.points import PointSpace
 
 
@@ -28,3 +53,39 @@ def test_indices_equal_the_encoded_product(drawn):
 def test_indices_of_the_full_grid_count_up(m, n):
     sp = PointSpace(m, n)
     assert sp.indices([range(m)] * n) == list(range(sp.size))
+
+
+CHAIN3, N5 = chain(3), n5()
+ARITY_TAKERS = {
+    "PointSpace": lambda n: PointSpace(3, n),
+    "point_space": lambda n: chain(3).point_space(n),
+    "FunctionTable": lambda n: FunctionTable(CHAIN3, n, []),
+    "FunctionSet": lambda n: FunctionSet(CHAIN3, n),
+    "DNFMap": lambda n: DNFMap(CHAIN3, n, ()),
+    "subset_masks": subset_masks,
+    "parse_term": lambda n: parse_term("'0'", CHAIN3, n),
+    "random_term": lambda n: random_term(random.Random(0), CHAIN3, n),
+    "materialize": lambda n: materialize(CHAIN3, Const(CHAIN3.elements[0]), n),
+    "equivalent": lambda n: equivalent(CHAIN3, Var(1), Var(1), n),
+    "equivalent-n5": lambda n: equivalent(N5, Var(1), Var(1), n),
+    "iter_monotone_tables": lambda n: iter_monotone_tables(CHAIN3, n),
+    "count_monotone_tables": lambda n: count_monotone_tables(CHAIN3, n),
+    "random_monotone_table": lambda n: random_monotone_table(CHAIN3, n, random.Random(0)),
+    "closure_polynomials": lambda n: closure_polynomials(CHAIN3, n),
+    "enumerate_polynomials_distributive": lambda n: enumerate_polynomials_distributive(CHAIN3, n),
+    "verify_equivalence": lambda n: verify_equivalence(CHAIN3, n),
+    "find_nondistributive_witness": lambda n: find_nondistributive_witness(N5, n, "iv"),
+}
+
+
+@pytest.mark.parametrize("arity", [-1, 1.5, "2"])
+@pytest.mark.parametrize("call", ARITY_TAKERS.values(), ids=ARITY_TAKERS.keys())
+def test_every_arity_is_a_non_negative_integer(call, arity):
+    message = f"^arity must be a non-negative integer, got {re.escape(repr(arity))}$"
+    with pytest.raises(InvalidParamsError, match=message):
+        call(arity)
+
+
+def test_a_carrier_needs_an_element():
+    with pytest.raises(InvalidParamsError, match="^carrier must have at least one element$"):
+        PointSpace(0, 1)

@@ -1,3 +1,4 @@
+import functools
 import gc
 import random
 import tracemalloc
@@ -18,19 +19,35 @@ from latpoly import (
     boolean,
     build_from_covers,
     chain,
+    classify,
+    closure_polynomials,
+    count_monotone_tables,
     delta,
+    dnf_membership,
+    enumerate_dnf,
+    enumerate_polynomials_distributive,
+    equivalent,
     evaluate,
+    evaluate_all_conditions,
+    extract_alpha,
+    find_nondistributive_witness,
     format_term,
+    iter_monotone_tables,
+    lattice_from_text,
+    lattice_to_text,
     make_join,
     make_med,
     make_meet,
     materialize,
     n5,
     parse_term,
+    random_monotone_table,
     random_term,
+    reconstruct,
     substitute,
     table_from_text,
     table_to_text,
+    verify_equivalence,
 )
 from latpoly.conditions import is_order_preserving
 from latpoly.terms import MAX_TERM_DEPTH, term_key
@@ -42,6 +59,7 @@ from latpoly.errors import (
     BudgetExceededError,
     FormatError,
     InvalidParamsError,
+    LatPolyError,
     TermSyntaxError,
     UnknownElementError,
     VarOutOfRangeError,
@@ -123,18 +141,86 @@ def test_one_part_sums_and_products_are_not_rebuilt(monkeypatch):
     assert calls == ["make_meet"]
 
 
-@pytest.mark.parametrize("text", ["x1 & (x2 | '0') | med(x1, x2, x1)", "x1 & (x2 | "])
-def test_a_parsed_lattice_is_freed_by_reference_counting(text):
-    lat = chain(2)
-    ref = weakref.ref(lat)
+fresh_chain3 = functools.partial(chain, 3)
+GARBAGE_TERM = "x1 & (x2 | '0') | med(x1, x2, x1)"
+
+
+def _garbage_table(lat):
+    return materialize(lat, parse_term(GARBAGE_TERM, lat, 2), 2)
+
+
+@pytest.mark.parametrize(
+    "make, call",
+    [
+        pytest.param(fresh_chain3, lambda lat: parse_term(GARBAGE_TERM, lat, 2), id=GARBAGE_TERM),
+        pytest.param(fresh_chain3, lambda lat: parse_term("x1 & (x2 | ", lat, 2), id="x1 & (x2 | "),
+        pytest.param(fresh_chain3, _garbage_table, id="materialize"),
+        pytest.param(
+            fresh_chain3, lambda lat: evaluate(lat, parse_term(GARBAGE_TERM, lat, 2), (1, 2)),
+            id="evaluate",
+        ),
+        pytest.param(fresh_chain3, lambda lat: reconstruct(_garbage_table(lat)), id="reconstruct"),
+        pytest.param(n5, lambda lat: reconstruct(_garbage_table(lat)), id="reconstruct-n5"),
+        pytest.param(
+            fresh_chain3, lambda lat: enumerate_dnf(_garbage_table(lat)), id="enumerate_dnf"
+        ),
+        pytest.param(
+            fresh_chain3,
+            lambda lat: dnf_membership(extract_alpha(_garbage_table(lat)), _garbage_table(lat)),
+            id="dnf_membership",
+        ),
+        pytest.param(
+            fresh_chain3, lambda lat: equivalent(lat, parse_term(GARBAGE_TERM, lat, 2), Var(1), 2),
+            id="equivalent",
+        ),
+        pytest.param(
+            fresh_chain3, lambda lat: evaluate_all_conditions(_garbage_table(lat)),
+            id="evaluate_all",
+        ),
+        pytest.param(
+            fresh_chain3, lambda lat: evaluate_all_conditions(_garbage_table(lat), budget=10),
+            id="refused-check",
+        ),
+        pytest.param(fresh_chain3, lambda lat: classify(_garbage_table(lat)), id="classify"),
+        pytest.param(
+            fresh_chain3, lambda lat: enumerate_polynomials_distributive(lat, 1),
+            id="enumerate-distributive",
+        ),
+        pytest.param(fresh_chain3, lambda lat: verify_equivalence(lat, 2), id="verify"),
+        pytest.param(fresh_chain3, lambda lat: closure_polynomials(lat, 2), id="closure"),
+        pytest.param(n5, lambda lat: find_nondistributive_witness(lat, 1, "iv"), id="witness"),
+        pytest.param(fresh_chain3, lambda lat: count_monotone_tables(lat, 2), id="count"),
+        pytest.param(fresh_chain3, lambda lat: list(iter_monotone_tables(lat, 2)), id="walk"),
+        pytest.param(
+            fresh_chain3, lambda lat: random_monotone_table(lat, 2, random.Random(1)), id="sample"
+        ),
+        pytest.param(
+            fresh_chain3, lambda lat: lattice_from_text(lattice_to_text(lat)), id="lattice-text"
+        ),
+        pytest.param(
+            fresh_chain3, lambda lat: table_from_text(table_to_text(_garbage_table(lat)), lat),
+            id="table-text",
+        ),
+    ],
+)
+def test_a_parsed_lattice_is_freed_by_reference_counting(make, call):
+    # parsing and evaluation recurse through module functions, and no call
+    # leaves a reference cycle: the lattice goes with its last reference
+    # and the cycle collector finds nothing; the first run fills the caches
+    gc.collect()
     gc.disable()
     try:
-        try:
-            parse_term(text, lat, 2)
-        except TermSyntaxError:
-            pass
-        del lat
-        assert ref() is None
+        for _ in range(2):
+            lat = make()
+            ref = weakref.ref(lat)
+            try:
+                call(lat)
+            except LatPolyError:
+                pass
+            del lat
+            assert ref() is None
+            garbage = gc.collect()
+        assert garbage == 0
     finally:
         gc.enable()
 
