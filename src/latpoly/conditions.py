@@ -30,6 +30,7 @@ from .budget import ensure_budget
 from .errors import HypothesisViolatedError, InvalidParamsError
 from .dnf import extract_alpha, reconstruct, subset_masks
 from .lattice import _members
+from .points import check_arity
 
 CONDITION_IDS = ("ii", "iii", "iv", "v", "vi")
 
@@ -78,7 +79,10 @@ class Classification:
 
 def grid_map(lat, n, kind):
     """The index structure `kind` of _GRID_KINDS for arity n, built on
-    first use and kept in the lattice's cache."""
+    first use and kept in the lattice's cache.  Any n but an int is
+    checked before the lookup, as 2.0 == 2 would find the n=2 structure."""
+    if type(n) is not int:
+        n = check_arity(n)
     key = ("grid", kind, n)
     got = lat._cache.get(key)
     if got is None:

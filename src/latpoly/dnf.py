@@ -14,7 +14,10 @@ that round trip the designated polynomiality test here.
 
 A normal form is evaluated as its term ``dnf_to_term``, which drops only
 what x meet 1 = x, x join 0 = x, associativity and commutativity allow, so
-it denotes the normal form on every lattice.
+it denotes the normal form on every lattice.  Each summand's term is
+written by ``summand_term``; the normal-form enumeration in the oracle
+tabulates those summands alone and joins each coefficient map's summand
+tables pointwise.
 
 The representations of a polynomial f on a distributive lattice are the
 maps alpha with alpha^- <= alpha <= alpha_f pointwise, where alpha^-(I)
@@ -264,19 +267,21 @@ def dnf_to_lines(alpha):
 def dnf_to_term(alpha):
     """A term denoting the normal form of `alpha` (bottom summands dropped)."""
     lat = alpha.lattice
-    bottom, top = lat.bottom_id, lat.top_id
-    summands = []
-    for mask in subset_masks(alpha.arity):
-        coeff = alpha.coeffs[mask]
-        if coeff == bottom:
-            continue
-        parts = []
-        if coeff != top or mask == 0:
-            parts.append(Const(lat.elements[coeff]))
-        parts.extend(
-            Var(k + 1) for k in range(alpha.arity) if mask >> k & 1
-        )
-        summands.append(make_meet(parts))
+    summands = [
+        summand_term(lat, mask, coeff)
+        for mask in subset_masks(alpha.arity)
+        if (coeff := alpha.coeffs[mask]) != lat.bottom_id
+    ]
     if not summands:
-        return Const(lat.elements[bottom])
+        return Const(lat.elements[lat.bottom_id])
     return make_join(summands)
+
+
+def summand_term(lattice, mask, coeff):
+    """The term of the summand coeff meet x_i for i in `mask`, as the
+    normal form writes it: a top coefficient is dropped unless the mask is
+    empty.  `coeff` is not bottom; a bottom summand adds nothing."""
+    parts = [Var(k + 1) for k in range(mask.bit_length()) if mask >> k & 1]
+    if coeff != lattice.top_id or not mask:
+        parts.append(Const(lattice.elements[coeff]))
+    return make_meet(parts)

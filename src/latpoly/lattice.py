@@ -24,7 +24,7 @@ from .errors import (
     NotALatticeError,
     UnknownElementError,
 )
-from .points import PointSpace
+from .points import PointSpace, check_arity
 
 DEFAULT_MAX_ELEMENTS = 256
 
@@ -230,7 +230,10 @@ class FiniteLattice:
         return tuple(tuple(_members(row)) for row in self._up)
 
     def point_space(self, n):
-        """Shared PointSpace for arity n (cached)."""
+        """Shared PointSpace for arity n (cached).  Any n but an int is
+        checked before the lookup, as 2.0 == 2 would find the n=2 space."""
+        if type(n) is not int:
+            n = check_arity(n)
         key = ("space", n)
         sp = self._cache.get(key)
         if sp is None:

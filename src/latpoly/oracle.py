@@ -12,19 +12,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from heapq import heapify, heappop
 from itertools import filterfalse, islice, repeat
 from operator import and_
 
 from .budget import ensure_budget, resolve_budget
 from .conditions import _LIVE, check_condition, evaluate_all_conditions, grid_map
-from .dnf import DNFMap, dnf_to_term, subset_masks
+from .dnf import subset_masks, summand_term
 from .errors import (
     InvalidParamsError,
     NotDistributiveError,
     NotNonDistributiveError,
 )
 from .points import check_arity
-from .terms import FunctionTable, materialize
+from .terms import FunctionTable, _tabulate
 
 
 class FunctionSet:
@@ -363,13 +364,20 @@ def _closure_values(lattice, n, budget):
 
 
 def enumerate_polynomials_distributive(lattice, n, budget=None):
-    """All polynomial functions via normal forms: materialize the normal
-    form of every inclusion-monotone coefficient map.
+    """All polynomial functions via normal forms: the function of every
+    inclusion-monotone coefficient map.
 
     On a distributive lattice the monotone coefficient maps are exactly
     the canonical maps alpha_f of the polynomial functions, so this must
     coincide with the clone closure; non-monotone maps would only repeat
     tables and are skipped.
+
+    No normal form is tabulated whole.  Each summand alpha(I) meet x_i
+    (i in I) that the walk meets is tabulated once, as the term
+    summand_term writes, through the one tabulator, and each map joins
+    its summands' tables pointwise.  Each map is charged |L|^n * 2^n, as
+    tabulating its whole normal form would be, before any of its summands
+    is tabulated.
     """
     if not lattice.distributive:
         raise NotDistributiveError(
@@ -378,17 +386,28 @@ def enumerate_polynomials_distributive(lattice, n, budget=None):
         )
     subset_masks(n)  # the arity rule comes before the budget
     sp = lattice.point_space(n)
-    ops = 0
-    out = FunctionSet(lattice, n)
+    width = 1 << n
+    bottom, join_t = lattice.bottom_id, lattice._join_t
     # coefficient masks in numeric order extend inclusion: each mask comes
     # after the masks one bit below it
-    lower = [[mask ^ (1 << k) for k in range(n) if mask >> k & 1] for mask in range(1 << n)]
+    lower = [[mask ^ (1 << k) for k in range(n) if mask >> k & 1] for mask in range(width)]
+    summands = {}  # (mask, coeff) -> values
+    found = set()
+    ops = 0
     for coeffs in _monotone_assignments(lattice, lower):
-        alpha = DNFMap(lattice, n, coeffs)
-        ops += sp.size * len(coeffs)
+        ops += sp.size * width
         ensure_budget(ops, budget, "normal-form image enumeration")
-        out.add(materialize(lattice, dnf_to_term(alpha), n, budget))
-    return out
+        acc = None
+        for mask, coeff in enumerate(coeffs):
+            if coeff == bottom:
+                continue
+            table = summands.get((mask, coeff))
+            if table is None:
+                term = summand_term(lattice, mask, coeff)
+                table = summands[mask, coeff] = list(_tabulate(lattice, term, sp.iter_points()))
+            acc = table if acc is None else [join_t[a][b] for a, b in zip(acc, table)]
+        found.add((bottom,) * sp.size if acc is None else tuple(acc))
+    return FunctionSet._of_values(lattice, n, found)
 
 
 # -- exhaustive verification ----------------------------------------------
@@ -539,7 +558,12 @@ def find_nondistributive_witness(lattice, n, condition, budget=None):
             f"lattice {lattice.name!r} is distributive, so no witness can exist"
         )
     closure = _closure_values(lattice, n, budget)
-    for values in sorted(closure):
+    # the members in ascending order, popped one at a time: the first often
+    # violates the condition, and a heap does not sort the rest
+    heap = list(closure)
+    heapify(heap)
+    while heap:
+        values = heappop(heap)
         f = FunctionTable(lattice, n, values)
         ok, witness = check_condition(f, condition, budget=budget)
         if not ok:

@@ -4,8 +4,11 @@ from itertools import product
 import pytest
 
 from latpoly import boolean, chain, m3, n5
-from latpoly.errors import ArityMismatchError
-from latpoly.terms import Const, FunctionTable, Join, Meet, Var
+from latpoly.budget import ensure_budget
+from latpoly.dnf import DNFMap, dnf_to_term, subset_masks
+from latpoly.errors import ArityMismatchError, NotDistributiveError
+from latpoly.oracle import FunctionSet, _monotone_assignments
+from latpoly.terms import Const, FunctionTable, Join, Meet, Var, materialize
 
 
 def naive_evaluate(lattice, term, point):
@@ -77,6 +80,29 @@ def naive_substitute(f, k_indices, point):
             idx += d * strides[k0]
         vals.append(f.values[idx])
     return FunctionTable(lat, len(free), vals)
+
+
+def naive_enumerate_polynomials_distributive(lattice, n, budget=None):
+    """The polynomial functions as the normal forms of the monotone
+    coefficient maps, each whole normal form materialized as its term and
+    charged as enumerate_polynomials_distributive charges it; the
+    reference for that function's summand tables and walk of joins."""
+    if not lattice.distributive:
+        raise NotDistributiveError(
+            "normal-form enumeration of polynomial functions needs a "
+            "distributive lattice"
+        )
+    subset_masks(n)
+    sp = lattice.point_space(n)
+    ops = 0
+    out = FunctionSet(lattice, n)
+    lower = [[mask ^ (1 << k) for k in range(n) if mask >> k & 1] for mask in range(1 << n)]
+    for coeffs in _monotone_assignments(lattice, lower):
+        alpha = DNFMap(lattice, n, coeffs)
+        ops += sp.size * len(coeffs)
+        ensure_budget(ops, budget, "normal-form image enumeration")
+        out.add(materialize(lattice, dnf_to_term(alpha), n, budget))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -63,7 +63,7 @@ from latpoly.oracle import (
 )
 from latpoly.terms import Const, Var
 
-from conftest import naive_dnf_evaluate, naive_evaluate
+from conftest import naive_dnf_evaluate, naive_enumerate_polynomials_distributive, naive_evaluate
 
 
 def brute_monotone_tables(lat, n):
@@ -436,16 +436,14 @@ def test_dropped_lattice_is_freed_by_reference_counting(search):
 # -- normal-form enumeration vs closure ---------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_oracle_agreement_chain3(chain3, n):
-    assert enumerate_polynomials_distributive(chain3, n) == closure_polynomials(
-        chain3, n
-    )
+    assert_same_enumeration(chain3, n)
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_oracle_agreement_b2(b2, n):
-    assert enumerate_polynomials_distributive(b2, n) == closure_polynomials(b2, n)
+    assert_same_enumeration(b2, n)
 
 
 def test_enumeration_requires_distributive(pentagon):
@@ -949,6 +947,80 @@ def test_tabulation_equals_the_per_point_references(lat, data):
 @settings(max_examples=300, deadline=None)
 def test_routes_agree_on_generated_lattices_deep(lat):
     check_routes_agree(lat, max_distributive=7, max_other=7, max_binary=4)
+
+
+# -- normal-form enumeration vs its reference ---------------------------------
+
+# distributive factors: their products are distributive, of 4 to 16 elements
+DISTRIBUTIVE_FACTORS = [chain(2), chain(3), boolean(2)]
+
+distributive_lattices = st.one_of(
+    st.lists(st.integers(1, 0b1110), min_size=1, max_size=3, unique=True)
+    .map(family_lattice)
+    .filter(lambda lat: lat.distributive),
+    st.tuples(*[st.sampled_from(DISTRIBUTIVE_FACTORS)] * 2).map(lambda pair: product(*pair)),
+)
+
+
+def assert_same_enumeration(lat, n, budget=None):
+    """The enumeration equals its reference and, when neither is refused,
+    the clone closure; a refusal has the same type and text."""
+    try:
+        expected = naive_enumerate_polynomials_distributive(lat, n, budget=budget)
+    except BudgetExceededError as exc:
+        with pytest.raises(BudgetExceededError) as excinfo:
+            enumerate_polynomials_distributive(lat, n, budget=budget)
+        assert (type(excinfo.value), str(excinfo.value)) == (type(exc), str(exc))
+        return
+    got = enumerate_polynomials_distributive(lat, n, budget=budget)
+    assert got == expected == closure_polynomials(lat, n, budget=10**9)
+
+
+@given(lat=distributive_lattices, data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_enumeration_equals_the_reference_on_drawn_lattices(lat, data):
+    n = data.draw(st.integers(0, 2 if lat.m <= 9 else 1), label="n")
+    assert_same_enumeration(lat, n)
+
+
+@pytest.mark.parametrize(
+    "make, n",
+    [(lambda: chain(3), 0), (lambda: chain(3), 1), (lambda: chain(3), 2), (lambda: boolean(2), 2)],
+    ids=["chain3-n0", "chain3-n1", "chain3-n2", "B2-n2"],
+)
+def test_enumeration_is_refused_where_the_reference_is(make, n):
+    """Each map is charged |L|^n * 2^n before it is tabulated: budget 1,
+    one short of the first map's charge, and one short of the cumulative
+    charge of the k-th map refuse both alike, and the last map's charge
+    admits both."""
+    lat = make()
+    per_map = lat.m**n << n
+    maps = len(naive_enumerate_polynomials_distributive(lat, n))
+    for budget in [1, per_map - 1, *(k * per_map - 1 for k in (2, 3, maps // 2, maps))]:
+        with pytest.raises(BudgetExceededError):
+            enumerate_polynomials_distributive(lat, n, budget=budget)
+        assert_same_enumeration(lat, n, budget)
+    assert_same_enumeration(lat, n, maps * per_map)
+
+
+@pytest.mark.parametrize(
+    "make, n, budget",
+    [
+        (lambda: boolean(3), 10, None),
+        (lambda: boolean(3), 10, 10**9),
+        (lambda: chain(256), 4, None),
+    ],
+    ids=["B3-n10", "B3-n10-budget1e9", "chain256-n4"],
+)
+def test_a_large_arity_is_refused_before_anything_of_its_size_is_built(make, n, budget):
+    """|L|^n * 2^n of the first map is past the budget: the call is refused
+    with the reference's text before a table of |L|^n values (8^10 or
+    256^4 of them here) is built."""
+    lat = make()
+    with pytest.raises(BudgetExceededError) as excinfo:
+        enumerate_polynomials_distributive(lat, n, budget=budget)
+    assert "normal-form image enumeration" in str(excinfo.value)
+    assert_same_enumeration(lat, n, budget)
 
 
 # -- refusals ------------------------------------------------------------------

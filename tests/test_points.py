@@ -27,6 +27,7 @@ from latpoly import (
     subset_masks,
     verify_equivalence,
 )
+from latpoly.conditions import grid_map
 from latpoly.errors import InvalidParamsError
 from latpoly.points import PointSpace
 
@@ -89,3 +90,24 @@ def test_every_arity_is_a_non_negative_integer(call, arity):
 def test_a_carrier_needs_an_element():
     with pytest.raises(InvalidParamsError, match="^carrier must have at least one element$"):
         PointSpace(0, 1)
+
+
+@pytest.mark.parametrize(
+    "cached",
+    [
+        pytest.param(lambda lat, n: lat.point_space(n), id="point_space"),
+        pytest.param(lambda lat, n: grid_map(lat, n, "lines"), id="grid_map"),
+    ],
+)
+@pytest.mark.parametrize("int_first", [False, True], ids=["fresh", "after-int"])
+def test_a_cached_arity_refuses_a_float_in_either_order(cached, int_first):
+    """2.0 == 2 as a dict key, so the caches must refuse a float before
+    their lookup, whether or not the int arity was cached first."""
+    lat = chain(3)
+    if int_first:
+        expected = cached(lat, 2)
+    with pytest.raises(InvalidParamsError, match=r"^arity must be a non-negative integer, got 2\.0$"):
+        cached(lat, 2.0)
+    if not int_first:
+        expected = cached(lat, 2)
+    assert cached(lat, 2) is expected
