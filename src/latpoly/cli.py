@@ -10,6 +10,7 @@ error, or any other error of this package; 3 evaluation budget exceeded;
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .budget import DEFAULT_BUDGET
@@ -48,7 +49,10 @@ def _positive_int(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: each build leaves
+    reference cycles behind, and parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="latpoly",
         description="Check, normalize, and compare lattice polynomial functions.",

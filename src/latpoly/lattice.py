@@ -14,6 +14,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import compress, repeat
 
 from .errors import (
     CycleError,
@@ -206,19 +207,39 @@ class FiniteLattice:
         ``below``: coordinates <= c collapse to bottom; ``above``:
         coordinates >= c collapse to top; all others are kept.
         """
-        row = self.truncation_row(operator.index(c), direction)
+        row = self.truncation_rows(direction)[operator.index(c)]
         return tuple(row[operator.index(d)] for d in point)
 
-    def truncation_row(self, c, direction):
-        """The digit map d -> [d]_c (``below``) or d -> [d]^c (``above``)
-        of coordinate truncation against the element id c, as a list."""
+    def truncation_rows(self, direction):
+        """rows[c]: the digit map d -> [d]_c (``below``) or d -> [d]^c
+        (``above``) of coordinate truncation against the element id c, as
+        a list, for every c; built on first use and kept in the cache.
+
+        Row c is a copy of the row of one lower cover p of c (upper cover,
+        for ``above``) with bottom (top) written at the ids below (above)
+        c but not below (above) p; the bottom's (top's) row is the identity.
+        """
         if direction == "below":
-            row = self._down[c]
-            return [self.bottom_id if row >> d & 1 else d for d in range(self.m)]
-        if direction == "above":
-            row = self._up[c]
-            return [self.top_id if row >> d & 1 else d for d in range(self.m)]
-        raise InvalidParamsError(f"direction must be 'below' or 'above', got {direction!r}")
+            sets, covers, ids, end = self._down, self.covers_down, range(self.m), self.bottom_id
+        elif direction == "above":
+            sets, covers, ids, end = self._up, self.covers_up, range(self.m - 1, -1, -1), self.top_id
+        else:
+            raise InvalidParamsError(f"direction must be 'below' or 'above', got {direction!r}")
+        key = ("truncation", direction)
+        rows = self._cache.get(key)
+        if rows is None:
+            rows = [None] * self.m
+            for c in ids:  # lower (upper) covers first
+                if covers[c]:
+                    p = covers[c][0]
+                    row, new = rows[p][:], sets[c] & ~sets[p]
+                else:
+                    row, new = list(range(self.m)), 0
+                for d in _members(new):
+                    row[d] = end
+                rows[c] = row
+            self._cache[key] = rows
+        return rows
 
     def upset_ids(self, v):
         """Ids of all elements above v, ascending."""
@@ -228,6 +249,17 @@ class FiniteLattice:
     def upsets(self):
         """upsets[v]: the ids above v, ascending, as a tuple; built on first use."""
         return tuple(tuple(_members(row)) for row in self._up)
+
+    @cached_property
+    def later_incomparables(self):
+        """later_incomparables[u]: the ids v > u incomparable with u,
+        ascending, as a list; built on first use.  Ids are a linear
+        extension, so v > u is comparable with u exactly when u ^ v = u."""
+        m, meet_t = self.m, self._meet_t
+        return tuple(
+            list(compress(range(u + 1, m), map(operator.ne, meet_t[u][u + 1 :], repeat(u))))
+            for u in range(m)
+        )
 
     def point_space(self, n):
         """Shared PointSpace for arity n (cached).  Any n but an int is

@@ -31,6 +31,7 @@ from latpoly import (
     n5,
     parse_term,
     product,
+    random_monotone_table,
     random_term,
     report_lines,
     substitute,
@@ -673,6 +674,137 @@ def test_checkers_match_reference_on_arbitrary_tables(data):
     size = lat.m**n
     values = data.draw(st.lists(st.integers(0, lat.m - 1), min_size=size, max_size=size))
     assert_matches_reference(FunctionTable(lat, n, values))
+
+
+# -- the index maps against a by-definition builder ----------------------------
+#
+# At n = 1 the unary families are the lattice's own rows, the truncation
+# rows are copied along the covers, and a monotone diagonal is scanned over
+# its incomparable pairs only.  The reference below tabulates every digit
+# row from its definition and folds it through PointSpace.indices; the
+# checkers after it read those maps in the checkers' loops and scan every
+# pair u < v of every diagonal.
+
+
+def defined_rows(lat, kind):
+    """rows[c][d]: d ^ c, d v c, [d]_c or [d]^c, from lat.meet/join/leq."""
+    rule = {
+        "meet": lat.meet,
+        "join": lat.join,
+        "below": lambda c, d: lat.bottom_id if lat.leq(d, c) else d,
+        "above": lambda c, d: lat.top_id if lat.leq(c, d) else d,
+    }[kind]
+    return [[rule(c, d) for d in range(lat.m)] for c in range(lat.m)]
+
+
+def defined_maps(lat, n, kind):
+    sp = lat.point_space(n)
+    return [sp.indices([g] * n) for g in defined_rows(lat, kind)]
+
+
+def all_pairs_homogeneity(f, direction, scope):
+    lat = f.lattice
+    cs = ref_interval(f) if scope == "interval" else range(lat.m)
+    op = lat._meet_t if direction == "meet" else lat._join_t
+    maps = defined_maps(lat, f.arity, direction)
+    for i, fi in enumerate(f.values):
+        for c in cs:
+            if f.values[maps[c][i]] != op[fi][c]:
+                return False, Witness(x=lat.point_space(f.arity).decode(i), c=c)
+    return True, None
+
+
+def all_pairs_horizontal(f, direction):
+    lat, n, vals = f.lattice, f.arity, f.values
+    cs = ref_interval(f)
+    if direction == "meet":
+        outer, inner, combine = defined_maps(lat, n, "meet"), defined_maps(lat, n, "below"), lat._join_t
+    else:
+        outer, inner, combine = defined_maps(lat, n, "join"), defined_maps(lat, n, "above"), lat._meet_t
+    for i, fi in enumerate(vals):
+        for c in cs:
+            if combine[vals[outer[c][i]]][vals[inner[c][i]]] != fi:
+                return False, Witness(x=lat.point_space(n).decode(i), c=c)
+    return True, None
+
+
+def all_pairs_delta(f, which):
+    lat = f.lattice
+    if lat.m == 1:
+        return True, None
+    fails, seen = {}, set()
+    for row in grid_map(lat, f.arity, "diagonals"):
+        d = row(f.values)
+        if d in seen:
+            continue
+        seen.add(d)
+        for name, op in (("meet", lat._meet_t), ("join", lat._join_t)):
+            if name in fails:
+                continue
+            for u, v in itertools.combinations(range(lat.m), 2):
+                if d[op[u][v]] != op[d[u]][d[v]]:
+                    fails[name] = Witness(x=(u, v), eq="delta-" + name)
+                    break
+    first = [fails[name] for name in fails if which in (name, "both")]
+    return (not first), (first[0] if first else None)
+
+
+ALL_PAIRS_CHECKERS = [
+    *[
+        (check_homogeneity, all_pairs_homogeneity, (direction, scope))
+        for direction in ("meet", "join")
+        for scope in ("interval", "all")
+    ],
+    (check_horizontal, all_pairs_horizontal, ("meet",)),
+    (check_horizontal, all_pairs_horizontal, ("join",)),
+    *[(check_delta_preservation, all_pairs_delta, (which,)) for which in ("meet", "join", "both")],
+]
+
+
+@st.composite
+def map_cases(draw):
+    """A fresh lattice and an arity: chains and boolean lattices, N5, M3,
+    products and downset lattices at n = 0..2 (n <= 1 above 16 elements),
+    and boolean(6) at n = 1."""
+    family = draw(st.sampled_from(["chain", "boolean", "n5", "m3", "drawn", "B6"]))
+    if family == "B6":
+        return boolean(6), 1
+    lat = {
+        "chain": lambda: chain(draw(st.integers(2, 6))),
+        "boolean": lambda: boolean(draw(st.integers(1, 4))),
+        "n5": n5,
+        "m3": m3,
+        "drawn": lambda: draw(lattices()),
+    }[family]()
+    return lat, draw(st.integers(0, 2 if lat.m <= 16 else 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=map_cases(), kind=st.sampled_from(["monotone", "polynomial", "arbitrary"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_checkers_match_the_all_pairs_scan_over_defined_maps(case, kind, seed):
+    lat, n = case
+    rng = random.Random(seed)
+    if kind == "monotone":
+        f = FunctionTable(lat, n, random_monotone_table(lat, n, rng))
+    elif kind == "polynomial":
+        f = materialize(lat, random_term(rng, lat, n, 4), n)
+    else:
+        f = FunctionTable(lat, n, [rng.randrange(lat.m) for _ in range(lat.m**n)])
+    # the checkers run first, on maps built for this fresh lattice
+    for check, reference, args in ALL_PAIRS_CHECKERS:
+        got = outcome(check, f, *args)
+        assert got == outcome(reference, f, *args), (check.__name__, args, f.values)
+    for family in ("meet", "join", "below", "above"):
+        assert grid_map(lat, n, family) == defined_maps(lat, n, family), family
+    assert lat.truncation_rows("below") == defined_rows(lat, "below")
+    assert lat.truncation_rows("above") == defined_rows(lat, "above")
+    assert lat.later_incomparables == tuple(
+        [v for v in range(u + 1, lat.m) if not lat.leq(u, v)] for u in range(lat.m)
+    )
+    if n == 1:
+        assert grid_map(lat, 1, "meet") is lat._meet_t
+        assert grid_map(lat, 1, "join") is lat._join_t
 
 
 @pytest.mark.parametrize(
