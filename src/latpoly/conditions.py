@@ -23,6 +23,7 @@ plus "delta-meet"/"delta-join" and "range-convex"/"section-convex".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from operator import itemgetter
 
 from .budget import ensure_budget
@@ -76,14 +77,14 @@ class Classification:
 # indices are built once and cached on the lattice, after the budget check.
 # At n = 1 a grid index is the element id, so the unary families are the
 # lattice's own rows: its meet and join tables and its truncation rows.
-# The diagonal scan reads the lattice's incomparable pairs, kept on the
-# lattice, for a monotone diagonal and every pair otherwise.
 
 
 def grid_map(lat, n, kind):
     """The index structure `kind` of _GRID_KINDS for arity n, built on
     first use and kept in the lattice's cache.  Any n but an int is
-    checked before the lookup, as 2.0 == 2 would find the n=2 structure."""
+    checked before the lookup, as 2.0 == 2 would find the n=2 structure.
+    The structure is shared, at n = 1 with the lattice's own tables, so
+    callers must not write into it."""
     if type(n) is not int:
         n = check_arity(n)
     key = ("grid", kind, n)
@@ -144,8 +145,8 @@ _GRID_KINDS = {
     "meet": lambda lat, n: _unary_maps(lat, n, lat._meet_t),
     "join": lambda lat, n: _unary_maps(lat, n, lat._join_t),
     # [x]_c: coordinates below c drop to bottom; [x]^c: above c rise to top
-    "below": lambda lat, n: _unary_maps(lat, n, lat.truncation_rows("below")),
-    "above": lambda lat, n: _unary_maps(lat, n, lat.truncation_rows("above")),
+    "below": lambda lat, n: _unary_maps(lat, n, lat._truncation_rows("below")),
+    "above": lambda lat, n: _unary_maps(lat, n, lat._truncation_rows("above")),
     "lines": _line_rows,
     # (i, k, j): the point at index j is the point at index i with
     # coordinate k raised to an upper cover; in the order of the lines
@@ -323,11 +324,9 @@ def _delta_failures(f, budget=None):
     vals = f.values
     subset_masks(n)  # the arity rule comes before the budget
     ensure_budget(len(vals) * (1 << n), budget, "diagonal preservation scan")
-    m = lat.m
-    if m == 1:
+    if lat.m == 1:
         return {}  # no pairs u < v, so no diagonal to build
-    meet_t, join_t, up = lat._meet_t, lat._join_t, lat._up
-    covers = grid_map(lat, 1, "covers")
+    meet_t, join_t = lat._meet_t, lat._join_t
     fails = {}
     seen = set()
     for row in grid_map(lat, n, "diagonals"):
@@ -335,18 +334,12 @@ def _delta_failures(f, budget=None):
         if d in seen:
             continue
         seen.add(d)
-        for i, _, j in covers:
-            if not up[d[i]] >> d[j] & 1:
-                later = [range(u + 1, m) for u in range(m)]
-                break
-        else:  # d is monotone
-            later = lat.later_incomparables
         if "meet" not in fails:
-            bad = _unpreserved_pair(d, meet_t, later)
+            bad = _unpreserved_pair(d, meet_t)
             if bad is not None:
                 fails["meet"] = Witness(x=bad, eq="delta-meet")
         if "join" not in fails:
-            bad = _unpreserved_pair(d, join_t, later)
+            bad = _unpreserved_pair(d, join_t)
             if bad is not None:
                 fails["join"] = Witness(x=bad, eq="delta-join")
         if len(fails) == 2:
@@ -356,21 +349,13 @@ def _delta_failures(f, budget=None):
     return fails
 
 
-def _unpreserved_pair(d, op, later):
-    """The first pair (u, v), u-major with v in later[u], where the
-    diagonal d fails d(u op v) = d(u) op d(v), or None.
-
-    later[u] holds ids v > u only: u = v holds by idempotency, and (v, u)
-    fails exactly when (u, v) does.  For a monotone d it need hold only the
-    ids incomparable with u, as d passes every pair u <= v:
-    d(u ^ v) = d(u) = d(u) ^ d(v) and d(u v v) = d(v) = d(u) v d(v).  Ids
-    are a linear extension, so every other pair u < v is such a pair and
-    the first failing pair is the same."""
-    for u, vs in enumerate(later):
-        row, drow = op[u], op[d[u]]
-        for v in vs:
-            if d[row[v]] != drow[d[v]]:
-                return u, v
+def _unpreserved_pair(d, op):
+    """The first pair (u, v), u-major with u < v, where the diagonal d
+    fails d(u op v) = d(u) op d(v), or None.  u = v holds by idempotency,
+    and (v, u) fails exactly when (u, v) does."""
+    for u, v in combinations(range(len(d)), 2):
+        if d[op[u][v]] != op[d[u]][d[v]]:
+            return u, v
     return None
 
 

@@ -14,7 +14,6 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import compress, repeat
 
 from .errors import (
     CycleError,
@@ -207,13 +206,14 @@ class FiniteLattice:
         ``below``: coordinates <= c collapse to bottom; ``above``:
         coordinates >= c collapse to top; all others are kept.
         """
-        row = self.truncation_rows(direction)[operator.index(c)]
+        row = self._truncation_rows(direction)[operator.index(c)]
         return tuple(row[operator.index(d)] for d in point)
 
-    def truncation_rows(self, direction):
+    def _truncation_rows(self, direction):
         """rows[c]: the digit map d -> [d]_c (``below``) or d -> [d]^c
         (``above``) of coordinate truncation against the element id c, as
         a list, for every c; built on first use and kept in the cache.
+        The rows are shared with every caller and must not be written.
 
         Row c is a copy of the row of one lower cover p of c (upper cover,
         for ``above``) with bottom (top) written at the ids below (above)
@@ -249,17 +249,6 @@ class FiniteLattice:
     def upsets(self):
         """upsets[v]: the ids above v, ascending, as a tuple; built on first use."""
         return tuple(tuple(_members(row)) for row in self._up)
-
-    @cached_property
-    def later_incomparables(self):
-        """later_incomparables[u]: the ids v > u incomparable with u,
-        ascending, as a list; built on first use.  Ids are a linear
-        extension, so v > u is comparable with u exactly when u ^ v = u."""
-        m, meet_t = self.m, self._meet_t
-        return tuple(
-            list(compress(range(u + 1, m), map(operator.ne, meet_t[u][u + 1 :], repeat(u))))
-            for u in range(m)
-        )
 
     def point_space(self, n):
         """Shared PointSpace for arity n (cached).  Any n but an int is

@@ -678,12 +678,11 @@ def test_checkers_match_reference_on_arbitrary_tables(data):
 
 # -- the index maps against a by-definition builder ----------------------------
 #
-# At n = 1 the unary families are the lattice's own rows, the truncation
-# rows are copied along the covers, and a monotone diagonal is scanned over
-# its incomparable pairs only.  The reference below tabulates every digit
-# row from its definition and folds it through PointSpace.indices; the
-# checkers after it read those maps in the checkers' loops and scan every
-# pair u < v of every diagonal.
+# At n = 1 the unary families are the lattice's own rows, and the
+# truncation rows are copied along the covers.  The reference below
+# tabulates every digit row from its definition and folds it through
+# PointSpace.indices; the checkers after it read those maps in the
+# checkers' loops and scan every pair u < v of every diagonal.
 
 
 def defined_rows(lat, kind):
@@ -797,11 +796,8 @@ def test_checkers_match_the_all_pairs_scan_over_defined_maps(case, kind, seed):
         assert got == outcome(reference, f, *args), (check.__name__, args, f.values)
     for family in ("meet", "join", "below", "above"):
         assert grid_map(lat, n, family) == defined_maps(lat, n, family), family
-    assert lat.truncation_rows("below") == defined_rows(lat, "below")
-    assert lat.truncation_rows("above") == defined_rows(lat, "above")
-    assert lat.later_incomparables == tuple(
-        [v for v in range(u + 1, lat.m) if not lat.leq(u, v)] for u in range(lat.m)
-    )
+    assert lat._truncation_rows("below") == defined_rows(lat, "below")
+    assert lat._truncation_rows("above") == defined_rows(lat, "above")
     if n == 1:
         assert grid_map(lat, 1, "meet") is lat._meet_t
         assert grid_map(lat, 1, "join") is lat._join_t

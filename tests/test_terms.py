@@ -19,7 +19,6 @@ from latpoly import (
     boolean,
     build_from_covers,
     chain,
-    check_delta_preservation,
     classify,
     closure_polynomials,
     count_monotone_tables,
@@ -143,7 +142,7 @@ def test_one_part_sums_and_products_are_not_rebuilt(monkeypatch):
 
 
 fresh_chain3 = functools.partial(chain, 3)
-fresh_b2 = functools.partial(boolean, 2)  # a and b are incomparable
+fresh_b2 = functools.partial(boolean, 2)
 GARBAGE_TERM = "x1 & (x2 | '0') | med(x1, x2, x1)"
 
 
@@ -182,11 +181,6 @@ def _garbage_table(lat):
         pytest.param(
             fresh_b2, lambda lat: evaluate_all_conditions(materialize(lat, Var(1), 1)),
             id="evaluate_all-n1",
-        ),
-        pytest.param(
-            fresh_b2,
-            lambda lat: check_delta_preservation(FunctionTable(lat, 1, (lat.top_id, 0, 0, 0))),
-            id="delta-non-monotone",
         ),
         pytest.param(
             fresh_chain3, lambda lat: evaluate_all_conditions(_garbage_table(lat), budget=10),
