@@ -28,7 +28,7 @@ from operator import itemgetter
 
 from .budget import ensure_budget
 from .errors import HypothesisViolatedError, InvalidParamsError
-from .dnf import extract_alpha, reconstruct, subset_masks
+from .dnf import check_subset_arity, extract_alpha, reconstruct, subset_masks
 from .lattice import _members
 from .points import check_arity
 
@@ -322,7 +322,7 @@ def _delta_failures(f, budget=None):
     lat = f.lattice
     n = f.arity
     vals = f.values
-    subset_masks(n)  # the arity rule comes before the budget
+    check_subset_arity(n)  # before the budget
     ensure_budget(len(vals) * (1 << n), budget, "diagonal preservation scan")
     if lat.m == 1:
         return {}  # no pairs u < v, so no diagonal to build

@@ -30,10 +30,9 @@ per-subset intervals, and counting them is a product with no enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress, count, islice, product, tee
 from math import prod
-from operator import ne
+from operator import index, ne
 
 from .budget import ensure_budget
 from .errors import (
@@ -49,17 +48,23 @@ from .terms import Const, Var, _tabulate, evaluate, make_join, make_meet
 MAX_DNF_VARS = 20
 
 
-@lru_cache(maxsize=None, typed=True)
-def subset_masks(n):
-    """All bitmasks over n positions, increasing cardinality then numeric.
-
-    This is the one arity rule for work over subsets of the positions:
-    each such function calls it before charging the budget."""
-    if check_arity(n) > MAX_DNF_VARS:
+def check_subset_arity(n):
+    """`n` as an int if it is an arity of at most MAX_DNF_VARS positions,
+    else InvalidParamsError: the one arity rule for work over subsets of
+    the positions, applied before any budget charge."""
+    arity = check_arity(n)
+    if arity > MAX_DNF_VARS:
         raise InvalidParamsError(
             f"subset enumeration supports 0..{MAX_DNF_VARS} positions, got {n}"
         )
-    return tuple(sorted(range(1 << n), key=int.bit_count))  # stable: numeric within a size
+    return arity
+
+
+def subset_masks(n):
+    """All bitmasks over n positions, increasing cardinality then numeric;
+    sorted afresh on each call, so only callers that read the order pay."""
+    masks = range(1 << check_subset_arity(n))
+    return tuple(sorted(masks, key=int.bit_count))  # stable: numeric within a size
 
 
 def format_subset(mask):
@@ -72,26 +77,30 @@ def format_subset(mask):
 
 @dataclass(frozen=True)
 class DNFMap:
-    """Coefficient map 2^[n] -> L, stored densely indexed by bitmask."""
+    """Coefficient map 2^[n] -> L, stored densely indexed by bitmask as
+    element ids; ids or Elements are accepted."""
 
     lattice: object
     arity: int
     coeffs: tuple
 
     def __post_init__(self):
-        subset_masks(self.arity)  # the arity rule: raises past the mask width
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) != 1 << self.arity:
+        check_subset_arity(self.arity)
+        coeffs = tuple(self.coeffs)
+        if len(coeffs) != 1 << self.arity:
             raise ArityMismatchError(
                 f"coefficient map of arity {self.arity} needs "
-                f"{1 << self.arity} entries, got {len(self.coeffs)}"
+                f"{1 << self.arity} entries, got {len(coeffs)}"
             )
+        coeffs = tuple(map(index, coeffs))
+        if not (0 <= min(coeffs) and max(coeffs) < self.lattice.m):  # 2^n >= 1 entries
+            raise InvalidParamsError("coefficient is not a valid element id")
+        object.__setattr__(self, "coeffs", coeffs)
 
 
 def extract_alpha(f):
     """The canonical coefficient map I -> f(e_I); defined for any table."""
-    n = f.arity
-    subset_masks(n)  # the arity rule: raises past the mask width
+    n = check_subset_arity(f.arity)
     top = f.lattice.top_id
     vals = f.values
     # bit k of the mask is coordinate k+1 of the 0/1 point e_I, whose grid
@@ -119,10 +128,12 @@ def _first_difference(lattice, term, points, values):
 def dnf_membership(alpha, f, budget=None):
     """Does the normal form of `alpha` denote exactly `f`?
 
-    On a distributive lattice this is decided from the 0/1 points alone:
-    every coefficient of alpha must lie in the choice set of its subset,
-    and a function that is not polynomial has no normal form at all.
-    Otherwise it falls back to the definitional pointwise comparison.
+    On a distributive lattice f must be polynomial, since a function that
+    is not has no normal form at all; the 0/1 reconstruction decides that
+    by tabulating all |L|^n points.  Then every coefficient of alpha must
+    lie in the choice set of its subset, which is read from the 0/1
+    points.  Otherwise it falls back to the definitional pointwise
+    comparison.
     """
     if alpha.lattice is not f.lattice or alpha.arity != f.arity:
         raise ArityMismatchError("coefficient map and table do not match")
@@ -220,7 +231,7 @@ def _reconstruction(f, budget):
             "0/1 reconstruction is only a valid polynomiality test on "
             "distributive lattices; use the closure oracle instead"
         )
-    subset_masks(f.arity)  # the arity rule comes before the budget
+    check_subset_arity(f.arity)  # before the budget
     sp = lat.point_space(f.arity)
     ensure_budget(sp.size + (1 << f.arity), budget, "normal-form reconstruction")
     alpha = extract_alpha(f)
@@ -239,8 +250,8 @@ def equivalent(lattice, t1, t2, arity, budget=None):
     arity = check_arity(arity)
     if lattice.distributive:
         bottom, top = lattice.bottom_id, lattice.top_id
+        ensure_budget(2 << check_subset_arity(arity), budget, "0/1 term comparison")
         masks = subset_masks(arity)
-        ensure_budget(2 * len(masks), budget, "0/1 term comparison")
 
         def point_at(i):
             return tuple(top if masks[i] >> k & 1 else bottom for k in range(arity))
@@ -267,13 +278,15 @@ def dnf_to_lines(alpha):
 def dnf_to_term(alpha):
     """A term denoting the normal form of `alpha` (bottom summands dropped)."""
     lat = alpha.lattice
+    bottom = lat.bottom_id
+    # numeric mask order: make_join sorts the summands by term_key anyway
     summands = [
         summand_term(lat, mask, coeff)
-        for mask in subset_masks(alpha.arity)
-        if (coeff := alpha.coeffs[mask]) != lat.bottom_id
+        for mask, coeff in enumerate(alpha.coeffs)
+        if coeff != bottom
     ]
     if not summands:
-        return Const(lat.elements[lat.bottom_id])
+        return Const(lat.elements[bottom])
     return make_join(summands)
 
 

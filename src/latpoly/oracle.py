@@ -18,7 +18,7 @@ from operator import and_
 
 from .budget import ensure_budget, resolve_budget
 from .conditions import _LIVE, check_condition, evaluate_all_conditions, grid_map
-from .dnf import subset_masks, summand_term
+from .dnf import check_subset_arity, summand_term
 from .errors import (
     InvalidParamsError,
     NotDistributiveError,
@@ -384,7 +384,7 @@ def enumerate_polynomials_distributive(lattice, n, budget=None):
             "normal-form enumeration of polynomial functions needs a "
             "distributive lattice"
         )
-    subset_masks(n)  # the arity rule comes before the budget
+    check_subset_arity(n)  # before the budget
     sp = lattice.point_space(n)
     width = 1 << n
     bottom, join_t = lattice.bottom_id, lattice._join_t

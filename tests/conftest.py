@@ -5,7 +5,7 @@ import pytest
 
 from latpoly import boolean, chain, m3, n5
 from latpoly.budget import ensure_budget
-from latpoly.dnf import DNFMap, dnf_to_term, subset_masks
+from latpoly.dnf import DNFMap, check_subset_arity, dnf_to_term
 from latpoly.errors import ArityMismatchError, NotDistributiveError
 from latpoly.oracle import FunctionSet, _monotone_assignments
 from latpoly.terms import Const, FunctionTable, Join, Meet, Var, materialize
@@ -92,7 +92,7 @@ def naive_enumerate_polynomials_distributive(lattice, n, budget=None):
             "normal-form enumeration of polynomial functions needs a "
             "distributive lattice"
         )
-    subset_masks(n)
+    check_subset_arity(n)
     sp = lattice.point_space(n)
     ops = 0
     out = FunctionSet(lattice, n)

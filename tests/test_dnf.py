@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,18 @@ def test_subset_masks_order():
         assert subset_masks(n) == tuple(
             sorted(range(1 << n), key=lambda s: (bin(s).count("1"), s))
         )
+
+
+def test_subset_masks_are_not_kept():
+    tracemalloc.start()
+    try:
+        masks = subset_masks(18)
+        assert len(masks) == 1 << 18
+        del masks
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20
 
 
 def test_format_subset():
@@ -590,7 +603,7 @@ def test_dnf_term_round_trips(chain3, b2):
 
 # -- refusals ------------------------------------------------------------------
 
-CHAIN2 = chain(2)
+CHAIN2, CHAIN3 = chain(2), chain(3)
 
 
 @pytest.mark.parametrize(
@@ -601,6 +614,24 @@ CHAIN2 = chain(2)
             ArityMismatchError,
             "coefficient map of arity 1 needs 2 entries, got 1",
             id="coefficient-count",
+        ),
+        pytest.param(
+            lambda: DNFMap(CHAIN3, 1, (-1, 0)),
+            InvalidParamsError,
+            "coefficient is not a valid element id",
+            id="coefficient-negative",
+        ),
+        pytest.param(
+            lambda: DNFMap(CHAIN3, 1, (0, 7)),
+            InvalidParamsError,
+            "coefficient is not a valid element id",
+            id="coefficient-past-the-lattice",
+        ),
+        pytest.param(
+            lambda: DNFMap(CHAIN3, 1, ("a", 0)),
+            TypeError,
+            "'str' object cannot be interpreted as an integer",
+            id="coefficient-not-an-id",
         ),
         pytest.param(
             lambda: dnf_evaluate(DNFMap(CHAIN2, 1, (0, 1)), (0, 0)),
@@ -632,3 +663,10 @@ def test_refusals(call, error, message):
     with pytest.raises(error) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+def test_element_coefficients_are_stored_as_ids():
+    m, top = CHAIN3.element("m"), CHAIN3.element("1")
+    alpha = DNFMap(CHAIN3, 1, (m, top))
+    assert alpha.coeffs == (m.id, top.id) and alpha == DNFMap(CHAIN3, 1, (m.id, top.id))
+    assert dnf_membership(alpha, materialize(CHAIN3, parse_term("x1 | 'm'", CHAIN3, 1), 1))

@@ -444,6 +444,7 @@ def test_unknown_element(chain3):
 
 def test_order_ops_chain3(chain3):
     m1, one, zero = chain3.element("m"), chain3.element("1"), chain3.element("0")
+    assert str(m1) == "m"
     assert chain3.meet(m1, one) == m1.id
     assert chain3.join(m1, zero) == m1.id
     assert chain3.leq(zero, m1)

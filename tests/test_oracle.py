@@ -476,6 +476,7 @@ def test_closure_set_is_a_copy_of_the_cached_closure(chain3):
 
 def test_function_set_contains(chain2):
     s = FunctionSet(chain2, 1, [(0, 1)])
+    assert repr(s) == "FunctionSet(n=1, size=1)"
     assert (0, 1) in s
     assert FunctionTable(chain2, 1, (0, 1)) in s
     assert (1, 1) not in s

@@ -12,11 +12,18 @@ from latpoly import (
     FunctionSet,
     FunctionTable,
     Var,
+    build_from_covers,
     chain,
+    check_condition,
+    check_delta_preservation,
+    classify,
     closure_polynomials,
     count_monotone_tables,
+    enumerate_dnf,
     enumerate_polynomials_distributive,
     equivalent,
+    evaluate_all_conditions,
+    extract_alpha,
     find_nondistributive_witness,
     iter_monotone_tables,
     materialize,
@@ -24,6 +31,7 @@ from latpoly import (
     parse_term,
     random_monotone_table,
     random_term,
+    reconstruct,
     subset_masks,
     verify_equivalence,
 )
@@ -85,6 +93,39 @@ def test_every_arity_is_a_non_negative_integer(call, arity):
     message = f"^arity must be a non-negative integer, got {re.escape(repr(arity))}$"
     with pytest.raises(InvalidParamsError, match=message):
         call(arity)
+
+
+ONE = build_from_covers("one", ["z"], [])
+
+
+def _one_table(n):
+    return FunctionTable(ONE, n, (0,))
+
+
+# On a one-element lattice |L|^n is 1, so only the 2^n subsets grow with
+# the arity, and budget=1 refuses any charge of 2^n; each call must raise
+# the 20-position rule, which therefore comes before the budget.
+SUBSET_TAKERS = {
+    "DNFMap": lambda n: DNFMap(ONE, n, ()),
+    "subset_masks": subset_masks,
+    "extract_alpha": lambda n: extract_alpha(_one_table(n)),
+    "reconstruct": lambda n: reconstruct(_one_table(n), budget=1),
+    "classify": lambda n: classify(_one_table(n), budget=1),
+    "enumerate_dnf": lambda n: enumerate_dnf(_one_table(n), budget=1),
+    "equivalent": lambda n: equivalent(ONE, Var(1), Var(1), n, budget=1),
+    "check_delta_preservation": lambda n: check_delta_preservation(_one_table(n), budget=1),
+    "check_condition-iii": lambda n: check_condition(_one_table(n), "iii", budget=1),
+    "evaluate_all_conditions": lambda n: evaluate_all_conditions(_one_table(n), budget=1),
+    "enumerate_polynomials_distributive": (
+        lambda n: enumerate_polynomials_distributive(ONE, n, budget=1)
+    ),
+}
+
+
+@pytest.mark.parametrize("call", SUBSET_TAKERS.values(), ids=SUBSET_TAKERS.keys())
+def test_the_subset_rule_comes_before_the_budget(call):
+    with pytest.raises(InvalidParamsError, match=r"^subset enumeration supports 0\.\.20 positions, got 21$"):
+        call(21)
 
 
 def test_a_carrier_needs_an_element():

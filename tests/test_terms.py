@@ -582,11 +582,14 @@ def test_table_round_trip(chain3):
     f = materialize(chain3, parse_term("med(x1, 'm', x2)", chain3, 2), 2)
     again = table_from_text(table_to_text(f), chain3)
     assert again.values == f.values and again.arity == 2
+    assert again == f and hash(again) == hash(f) and {f: "med"}[again] == "med"
+    assert repr(f) == "FunctionTable(n=2, [0, m, m, m, m, m, m, m, ...])"
 
 
 def test_table_accepts_any_order(chain2):
     text = "table 1\n1 -> 1\n0 -> 0\n"
-    assert table_from_text(text, chain2).values == (0, 1)
+    f = table_from_text(text, chain2)
+    assert f.values == (0, 1) and repr(f) == "FunctionTable(n=1, [0, 1])"
 
 
 def test_table_missing_point_named(chain2):
