@@ -10,7 +10,10 @@ its mode, and then walks them depth-first, running each equation instance
 once, on the prefix that fixes its last read.  Every closure member and
 every table whose prefixes leave some condition undecided get the full
 report of all checkers; the walk does not extend a prefix on which all
-five conditions fail, so the tables below it are never built.
+five conditions fail, so the tables below it are never built.  Past the
+budget, a seeded sample is checked instead: the first draw, every closure
+member and every draw that the rows leave unsettled get the full report,
+and the other draws, which the rows settle, are consistent.
 The loop that reports every table in full stays in tests/test_oracle.py
 as naive_verify_equivalence, the reference the walk is compared against.
 """

@@ -10,6 +10,7 @@ all condition checkers are cross-validated.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from heapq import heapify, heappop
@@ -457,6 +458,25 @@ def _reported_tables(lattice, n, closure):
     yield from sorted(closure.union(_unsettled_tables(lattice, n)) - {bottom})
 
 
+def _sampled_tables(lattice, n, closure, draws):
+    """The draws, less each later one that is no closure member and on which
+    the prefix rows, run as in the walk, fail ii..vi: it is consistent.  The
+    rows are built after the first draw's full report charges for them."""
+    first = next(draws)
+    yield first
+    rows, join_t, kept = grid_map(lattice, n, "prefix rows"), lattice._join_t, {first: True}
+    for values in draws:
+        if values not in kept:
+            failed = high = 0
+            for p, v in enumerate(values):
+                if _LIVE[failed]:
+                    high = join_t[high][v]
+                    failed |= rows(p, values, _LIVE[failed], high)
+            kept[values] = values in closure or _LIVE[failed] != 0
+        if kept[values]:
+            yield values
+
+
 _COST_FACTOR = 12  # a rough price of one table's full report, in |L|^n evaluations
 
 
@@ -486,10 +506,17 @@ def verify_equivalence(lattice, n, budget=None, seed=0):
     evaluate_all_conditions report to every closure member and to every
     table that the rows over its prefixes leave unsettled, in the walk's
     order; the others fail all five conditions and are never built.  A
-    sampled run reports each distinct draw once: a report depends only on
-    the values, their closure membership and the budget, so a repeated
-    draw is counted, and listed if inconsistent, with its first report.
+    sampled run gives the full report to its first draw, and then, by the
+    same rule, to each distinct draw that is a closure member or that the
+    rows leave unsettled; the other draws are consistent and get none.  A
+    report depends only on the values, their closure membership and the
+    budget, so a repeated draw is counted, and listed if inconsistent, with
+    its first report.  `seed` must be an integer, so that a sampled run can
+    be repeated.
     """
+    if not hasattr(type(seed), "__index__"):
+        raise InvalidParamsError(f"seed must be an integer, got {seed!r}")
+    seed = operator.index(seed)
     closure = _closure_values(lattice, n, budget)
     total, max_tables = _count_within_budget(lattice, n, budget)
     if total <= max_tables:
@@ -502,7 +529,8 @@ def verify_equivalence(lattice, n, budget=None, seed=0):
         rng = random.Random(seed)
         used_seed = seed
         checked = min(1000, max_tables)
-        tables = (random_monotone_table(lattice, n, rng) for _ in range(checked))
+        draws = (random_monotone_table(lattice, n, rng) for _ in range(checked))
+        tables = _sampled_tables(lattice, n, closure, draws)
 
     polynomial_count = 0
     inconsistencies = []

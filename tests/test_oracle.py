@@ -60,6 +60,7 @@ from latpoly.oracle import (
     VerificationReport,
     _closure_values,
     _monotone_assignments,
+    _unsettled_tables,
 )
 from latpoly.terms import Const, Var
 
@@ -518,6 +519,15 @@ def test_verify_sampled_mode_is_seeded(chain3):
     assert "sampled seed=9" in r1.format_text()
 
 
+def test_verify_refuses_a_seed_before_the_closure():
+    # seed=None would seed from the OS, so two runs could draw different
+    # tables under the same "sampled seed=None"; test_refusals has the texts
+    lat = chain(3)
+    with pytest.raises(InvalidParamsError):
+        verify_equivalence(lat, 2, budget=500, seed=None)
+    assert ("closure", 2) not in lat._cache
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sampled_verify_lists_each_repeated_inconsistent_draw(seed):
     # 50 draws on M3 n=1, most of them inconsistent, some tables drawn
@@ -543,14 +553,73 @@ def counting_reports(monkeypatch):
     return calls
 
 
-def test_sampled_verify_reports_each_distinct_draw_once(monkeypatch, chain3):
+@pytest.mark.parametrize(
+    "make, n, budget, distinct, reports",
+    [(lambda: chain(3), 3, None, 303, 2), (lambda: boolean(2), 2, 10**5, 225, 6)],
+    ids=["chain3-n3", "B2-n2"],
+)
+def test_sampled_verify_reports_members_and_unsettled_draws(
+    monkeypatch, make, n, budget, distinct, reports
+):
+    # after the first distinct draw, only the closure members and the
+    # tables that the prefix rows leave unsettled get the full report, and
+    # the rows are built after the first; on chain3 both later reports are
+    # members, on B2 two of the five are unsettled non-members
+    lat = make()
+    rows_key = ("grid", "prefix rows", n)
+    calls = []
+
+    def counted(f, **kwargs):
+        calls.append((f.values, rows_key in lat._cache))
+        return evaluate_all_conditions(f, **kwargs)
+
+    monkeypatch.setattr("latpoly.oracle.evaluate_all_conditions", counted)
+    report = verify_equivalence(lat, n, budget=budget, seed=0)
+    monkeypatch.undo()
+    assert report.mode == "sampled"
     rng = random.Random(0)
-    draws = [random_monotone_table(chain3, 3, rng) for _ in range(1000)]
-    calls = counting_reports(monkeypatch)
-    report = verify_equivalence(chain3, 3, seed=0)
-    assert (report.mode, report.checked) == ("sampled", 1000)
-    assert calls == list(dict.fromkeys(draws))
-    assert len(calls) == 303
+    draws = [random_monotone_table(lat, n, rng) for _ in range(report.checked)]
+    first, *later = dict.fromkeys(draws)
+    closure, unsettled = _closure_values(lat, n, budget), set(_unsettled_tables(lat, n))
+    reported = [first] + [v for v in later if v in closure or v in unsettled]
+    assert [values for values, _ in calls] == reported
+    assert (len(later) + 1, len(calls)) == (distinct, reports)
+    assert [built for _, built in calls] == [False] + [True] * (reports - 1)
+    for values in set(later) - set(reported):
+        r = evaluate_all_conditions(FunctionTable(lat, n, values), known_polynomial=False)
+        assert not r.polynomial and not any(e.holds for e in r.entries.values())
+
+
+def test_sampled_verify_reports_a_member_the_rows_settle():
+    # a broken oracle that holds a drawn table on which the rows settle
+    # ii..vi: the member is reported, and listed as inconsistent
+    lat = chain(3)
+    rng = random.Random(0)
+    draws = [random_monotone_table(lat, 3, rng) for _ in range(1000)]
+    closure, unsettled = _closure_values(lat, 3, None), set(_unsettled_tables(lat, 3))
+    planted = next(v for v in draws[1:] if v not in closure | unsettled and v != draws[0])
+    lat._cache[("closure", 3)] = closure | {planted}
+    expected = naive_verify_equivalence(lat, 3, seed=0)
+    assert [values for values, _ in expected.inconsistencies] == [planted] * draws.count(planted)
+    assert verify_equivalence(lat, 3, seed=0) == expected
+
+
+@pytest.mark.parametrize(
+    "make, n, budget, seed",
+    [
+        (lambda: chain(3), 3, None, 0),
+        (lambda: chain(3), 3, None, 1),
+        (lambda: chain(3), 3, None, 7),
+        (lambda: boolean(2), 2, 10**5, 0),
+        (n5, 2, 10**9, 0),
+    ],
+    ids=["chain3-n3-seed0", "chain3-n3-seed1", "chain3-n3-seed7", "B2-n2", "N5-n2"],
+)
+def test_sampled_verify_equals_the_per_table_loop(make, n, budget, seed):
+    lat = make()
+    expected = naive_verify_equivalence(lat, n, budget=budget, seed=seed)
+    assert expected.mode == "sampled"
+    assert verify_equivalence(lat, n, budget=budget, seed=seed) == expected
 
 
 def test_exhaustive_verify_reports_each_reported_table_once(monkeypatch, b2):
@@ -943,6 +1012,25 @@ def test_tabulation_equals_the_per_point_references(lat, data):
             assert reconstruct(h) == (bad is None, bad)
 
 
+@given(lat=generated_lattices, data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_sampled_verify_equals_the_per_table_loop_on_generated_lattices(lat, data):
+    # the closure is built first at a lifted budget, at n=2 only where it
+    # is small (M3 n=2's does not fit at 10**9); then a budget that allows
+    # k < count full reports, each of them within it, forces sampling
+    n = data.draw(st.integers(0, 2 if lat.m <= (6 if lat.distributive else 4) else 1), label="n")
+    closure_polynomials(lat, n, budget=10**9)
+    least = -(-2 * lat.m // _COST_FACTOR)  # the convexity scan charges |L|^n * |L| * 2
+    count = count_monotone_tables(lat, n, stop_after=200)
+    assume(count > least)
+    k = data.draw(st.integers(least, min(count - 1, 200)), label="k")
+    budget = lat.m**n * _COST_FACTOR * k
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    expected = naive_verify_equivalence(lat, n, budget=budget, seed=seed)
+    assert (expected.mode, expected.checked) == ("sampled", k)
+    assert verify_equivalence(lat, n, budget=budget, seed=seed) == expected
+
+
 @pytest.mark.slow
 @given(lat=generated_lattices)
 @settings(max_examples=300, deadline=None)
@@ -1039,6 +1127,16 @@ def test_a_large_arity_is_refused_before_anything_of_its_size_is_built(make, n, 
             lambda: find_nondistributive_witness(n5(), 1, "ii"),
             "condition must be one of iii, iv, v, vi; got 'ii'",
             id="witness-condition",
+        ),
+        pytest.param(
+            lambda: verify_equivalence(chain(3), 2, budget=500, seed=None),
+            "seed must be an integer, got None",
+            id="verify-seed-none",
+        ),
+        pytest.param(
+            lambda: verify_equivalence(chain(3), 2, budget=500, seed=2.5),
+            "seed must be an integer, got 2.5",
+            id="verify-seed-float",
         ),
     ],
 )
